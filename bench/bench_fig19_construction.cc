@@ -157,7 +157,7 @@ void RunSeries(const char* title, bool four_d) {
 // ------------------------------------------------------------------------
 // Thread-scaling of the end-to-end construction pipeline: every phase of
 // NeuroSketch::Train (kd-tree partition + AQC merge, per-leaf training,
-// and the int8 calibrate-then-validate replay) runs on the shared pool
+// and the f32 compile-and-validate replay) runs on the shared pool
 // under NeuroSketchConfig::train_threads, and the build is bit-identical
 // at every thread count (construction_parallel_test pins this; SizeBytes
 // is printed here as a cheap witness). Expected shape: all three phases
@@ -165,7 +165,7 @@ void RunSeries(const char* title, bool four_d) {
 void RunThreadScaling() {
   std::printf("\n-- construction thread-scaling (paper-default sketch) --\n");
   // A default workload big enough that partition crosses the kd-tree
-  // parallel cutoff and calibration replays a few thousand queries.
+  // parallel cutoff and the f32 validation replays a few thousand queries.
   Dataset d = MakeVerasetLike(20000, 1400);
   Normalizer norm = Normalizer::Fit(d.table);
   Table table = norm.Transform(d.table);
@@ -182,7 +182,7 @@ void RunThreadScaling() {
 
   NeuroSketchConfig cfg;  // paper defaults: height 4, 8 leaves, 5x(60,30)
   cfg.train.epochs = 25;
-  cfg.plan_precision = PlanPrecision::kInt8;  // exercises the calibrate phase
+  cfg.plan_precision = PlanPrecision::kF32;  // exercises the calibrate phase
   cfg.seed = 1406;
 
   double base_total = 0.0;

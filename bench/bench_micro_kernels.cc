@@ -74,27 +74,6 @@ void BM_CompiledMlpF32Forward(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledMlpF32Forward)->Arg(3)->Arg(5)->Arg(10);
 
-void BM_CompiledMlpI8Forward(benchmark::State& state) {
-  nn::Mlp model(nn::MlpConfig::Paper(6, state.range(0), 60, 30), 7);
-  nn::CompiledMlp f64 = nn::CompiledMlp::FromMlp(model);
-  nn::Workspace ws;
-  // Calibrate per-layer activation ranges on a small random workload, as
-  // NeuroSketch::EnableInt8 does.
-  Rng rng(1603);
-  std::vector<double> absmax(f64.layers().size(), 0.0);
-  for (int i = 0; i < 64; ++i) {
-    std::vector<double> probe(6);
-    for (auto& v : probe) v = rng.Uniform();
-    f64.CalibrateOne(probe.data(), &ws, absmax.data());
-  }
-  nn::CompiledMlpI8 plan = nn::CompiledMlpI8::FromPlan(f64, absmax);
-  std::vector<double> x = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(plan.PredictOne(x.data(), &ws));
-  }
-}
-BENCHMARK(BM_CompiledMlpI8Forward)->Arg(3)->Arg(5)->Arg(10);
-
 void BM_TreeAggAnswer(benchmark::State& state) {
   auto& f = F();
   size_t i = 0;

@@ -4,10 +4,9 @@
 // micro-batched serving vs per-query Answer dispatch on the same sketch,
 // a single-query latency section (p50/p95/p99 in ns) comparing the
 // Matrix-allocating scalar path against the compiled zero-allocation
-// inference plans in every precision tier (f64 reference, opt-in f32,
-// opt-in int8 — each narrow tier with its validated max divergence and
-// footprint), and a vectorized-batch section per tier (the float-
-// marshalled gather path). Emits a BENCH_serving.json snapshot (written
+// inference plans in both precision tiers (f64 reference, opt-in f32
+// with its validated max divergence and footprint), and a vectorized-
+// batch section per tier (the float-marshalled gather path). Emits a BENCH_serving.json snapshot (written
 // to the working directory) so the perf trajectory can be tracked across
 // commits; the snapshot also carries the observability sections — the
 // headline run's per-stage latency breakdown and per-store stats, the
@@ -1183,7 +1182,7 @@ struct ObservabilityReport {
   std::string metrics_json;
 };
 
-/// Narrow-tier (f32 / int8) record for the json snapshot.
+/// f32-tier record for the json snapshot.
 struct TierReport {
   bool active = false;
   double max_divergence = 0.0;
@@ -1196,7 +1195,7 @@ struct TierReport {
 };
 
 /// Vectorized-batch throughput per tier (AnswerBatchVectorizedTo on
-/// kBatchRows-query batches, float-marshalled gather for narrow tiers),
+/// kBatchRows-query batches, float-marshalled gather for the f32 tier),
 /// in million queries/second.
 struct BatchedRow {
   const char* tier = "";
@@ -1235,7 +1234,7 @@ void WriteBreakdown(FILE* f, const char* name,
 Status WriteJson(const std::string& path, const std::vector<RunResult>& rows,
                  double per_query_qps8, double batched_qps8,
                  const LatencyNs& scalar, const LatencyNs& compiled,
-                 const TierReport& f32, const TierReport& i8,
+                 const TierReport& f32,
                  const std::vector<BatchedRow>& batched,
                  const ObservabilityReport& obs,
                  const std::vector<RunResult>& multi_core,
@@ -1275,13 +1274,10 @@ Status WriteJson(const std::string& path, const std::vector<RunResult>& rows,
                "\"p99_ns\": %.0f},\n"
                "    \"compiled_plan_f32\": {\"p50_ns\": %.0f, "
                "\"p95_ns\": %.0f, \"p99_ns\": %.0f},\n"
-               "    \"compiled_plan_int8\": {\"p50_ns\": %.0f, "
-               "\"p95_ns\": %.0f, \"p99_ns\": %.0f},\n"
                "    \"p50_speedup\": %.2f,\n"
                "    \"f32_p50_speedup_vs_f64_plan\": %.2f\n  },\n",
                scalar.p50, scalar.p95, scalar.p99, compiled.p50, compiled.p95,
                compiled.p99, f32.latency.p50, f32.latency.p95, f32.latency.p99,
-               i8.latency.p50, i8.latency.p95, i8.latency.p99,
                compiled.p50 > 0.0 ? scalar.p50 / compiled.p50 : 0.0,
                f32.latency.p50 > 0.0 ? compiled.p50 / f32.latency.p50 : 0.0);
   std::fprintf(f,
@@ -1293,15 +1289,6 @@ Status WriteJson(const std::string& path, const std::vector<RunResult>& rows,
                f32.error_bound, f32.plan_bytes_f64, f32.plan_bytes,
                f32.micro_batch_qps8,
                static_cast<unsigned long long>(f32.tier_answers));
-  std::fprintf(f,
-               "  \"int8_tier\": {\"active\": %s, \"max_divergence\": %.3g, "
-               "\"error_bound\": %.3g, \"plan_bytes_f64\": %zu, "
-               "\"plan_bytes_int8\": %zu, \"micro_batch_qps_8c\": %.0f, "
-               "\"int8_answers\": %llu},\n",
-               i8.active ? "true" : "false", i8.max_divergence,
-               i8.error_bound, i8.plan_bytes_f64, i8.plan_bytes,
-               i8.micro_batch_qps8,
-               static_cast<unsigned long long>(i8.tier_answers));
   std::fprintf(f, "  \"batched_vectorized\": {");
   for (size_t i = 0; i < batched.size(); ++i) {
     std::fprintf(f, "\"%s_mqps\": %.2f%s", batched[i].tier, batched[i].mqps,
@@ -1542,29 +1529,6 @@ int Main(int argc, char** argv) {
     }
   }
   f32.latency = f32_lat;
-
-  // Int8 tier: calibrate + validate over the training workload (saved
-  // after the f32 snapshot so that file stays int8-free), measure, then
-  // pin the reference tier for the sweep.
-  TierReport i8;
-  i8.error_bound = NeuroSketchConfig().int8_error_bound;
-  i8.active = ns.EnableInt8(wb.train_q, i8.error_bound);
-  i8.max_divergence = ns.int8_max_divergence();
-  i8.plan_bytes_f64 = ns.PlanBytes(PlanPrecision::kF64);
-  i8.plan_bytes = ns.PlanBytes(PlanPrecision::kInt8);
-  LatencyNs i8_lat;
-  const std::string i8_path = out_path + ".int8.sketch";
-  if (i8.active) {
-    i8_lat = MeasureSingleQuery(
-        wb.test_q, [&ns](const QueryInstance& q) { return ns.Answer(q); });
-    Status save_st = ns.Save(i8_path);
-    if (!save_st.ok()) {
-      std::fprintf(stderr, "warning: int8 sketch save failed (%s); the int8 "
-                   "serving numbers will be zero\n",
-                   save_st.ToString().c_str());
-    }
-  }
-  i8.latency = i8_lat;
   (void)ns.SelectPrecision(PlanPrecision::kF64);
 
   std::printf("%-18s %10.0f %10.0f %10.0f\n", "scalar", scalar_lat.p50,
@@ -1573,8 +1537,6 @@ int Main(int argc, char** argv) {
               plan_lat.p95, plan_lat.p99);
   std::printf("%-18s %10.0f %10.0f %10.0f\n", "compiled_plan_f32",
               f32_lat.p50, f32_lat.p95, f32_lat.p99);
-  std::printf("%-18s %10.0f %10.0f %10.0f\n", "compiled_plan_int8",
-              i8_lat.p50, i8_lat.p95, i8_lat.p99);
   std::printf("p50 speedup: scalar/f64 %.2fx, f64/f32 %.2fx "
               "(f32 max divergence %.3g, bound %.3g, plan bytes %zu -> "
               "%zu)\n",
@@ -1582,25 +1544,13 @@ int Main(int argc, char** argv) {
               f32_lat.p50 > 0.0 ? plan_lat.p50 / f32_lat.p50 : 0.0,
               f32.max_divergence, f32.error_bound, f32.plan_bytes_f64,
               f32.plan_bytes);
-  std::printf("int8 tier: %s (max divergence %.3g, bound %.3g, plan bytes "
-              "%zu -> %zu = %.2fx smaller)\n",
-              i8.active ? "active" : "fell back",
-              i8.max_divergence, i8.error_bound, i8.plan_bytes_f64,
-              i8.plan_bytes,
-              i8.plan_bytes > 0
-                  ? static_cast<double>(i8.plan_bytes_f64) /
-                        static_cast<double>(i8.plan_bytes)
-                  : 0.0);
 
   // Vectorized-batch throughput per tier: the float-marshalled gather
-  // path for narrow tiers vs the f64 reference gather.
+  // path for the f32 tier vs the f64 reference gather.
   std::vector<BatchedRow> batched;
   batched.push_back({"f64", MeasureBatchedMqps(ns, wb.test_q)});
   if (f32.active && ns.SelectPrecision(PlanPrecision::kF32).ok()) {
     batched.push_back({"f32", MeasureBatchedMqps(ns, wb.test_q)});
-  }
-  if (i8.active && ns.SelectPrecision(PlanPrecision::kInt8).ok()) {
-    batched.push_back({"int8", MeasureBatchedMqps(ns, wb.test_q)});
   }
   (void)ns.SelectPrecision(PlanPrecision::kF64);
   std::printf("vectorized batch (%zu rows): ", kBatchRows);
@@ -1737,37 +1687,27 @@ int Main(int argc, char** argv) {
                 zipf.hottest_share * 100.0, zipf.shard_imbalance);
   }
 
-  // Narrow-tier serving: reload each persisted sketch (precision survives
+  // f32-tier serving: reload the persisted sketch (precision survives
   // serialization) into a fresh store and run the headline micro-batch
   // configuration on it.
-  auto serve_tier = [&](const char* name, const std::string& path,
-                        TierReport* report,
-                        uint64_t ServeStats::*counter) {
+  if (f32.active) {
     SketchStore tier_store;
     (void)tier_store.RegisterDataset("bench", &engine);
-    auto ver = tier_store.RegisterFromFile("bench", wb.spec, path);
+    auto ver = tier_store.RegisterFromFile("bench", wb.spec, f32_path);
     if (ver.ok()) {
       RunResult mb = RunBatched(&tier_store, wb.spec, wb.test_q, 8, 512,
                                 200.0);
-      report->micro_batch_qps8 = mb.qps;
-      report->tier_answers = mb.stats.*counter;
-      std::printf("%s tier: 8 clients, micro-batch (window 200us): %.0f qps "
-                  "(%llu %s answers)\n",
-                  name, mb.qps,
-                  static_cast<unsigned long long>(report->tier_answers),
-                  name);
+      f32.micro_batch_qps8 = mb.qps;
+      f32.tier_answers = mb.stats.f32_sketch_answers;
+      std::printf("f32 tier: 8 clients, micro-batch (window 200us): %.0f qps "
+                  "(%llu f32 answers)\n",
+                  mb.qps, static_cast<unsigned long long>(f32.tier_answers));
     } else {
-      std::fprintf(stderr, "warning: %s sketch register failed (%s); the "
-                   "%s serving numbers will be zero\n",
-                   name, ver.status().ToString().c_str(), name);
+      std::fprintf(stderr, "warning: f32 sketch register failed (%s); the "
+                   "f32 serving numbers will be zero\n",
+                   ver.status().ToString().c_str());
     }
-    std::remove(path.c_str());
-  };
-  if (f32.active) {
-    serve_tier("f32", f32_path, &f32, &ServeStats::f32_sketch_answers);
-  }
-  if (i8.active) {
-    serve_tier("int8", i8_path, &i8, &ServeStats::int8_sketch_answers);
+    std::remove(f32_path.c_str());
   }
 
   // Paged-catalog arm: 256 cold sketches under a shrinking resident
@@ -1856,7 +1796,7 @@ int Main(int argc, char** argv) {
   print_compaction("refresh ON", compaction.on);
 
   Status st = WriteJson(out_path, rows, per_query_qps8, batched_qps8,
-                        scalar_lat, plan_lat, f32, i8, batched, obs,
+                        scalar_lat, plan_lat, f32, batched, obs,
                         multi_core, zipf, paged, streaming, compaction);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());

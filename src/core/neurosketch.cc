@@ -17,13 +17,10 @@ namespace neurosketch {
 namespace {
 
 // Trailer appended after the model blocks by Save(): precision tier plus
-// the f32 validation record, then (when the int8 tier is compiled) the
-// int8 validation record and per-leaf calibration scales. Sketches
-// written before the trailer existed simply end at the last model; Load
-// treats that as f64. Flag bits in the precision word: bit 0 = f32
-// active, bit 1 = f32 plans compiled, bit 2 = int8 active, bit 3 = int8
-// plans compiled (calibration block follows) — PR 3 files only ever set
-// bits 0-1, so they load unchanged.
+// the f32 validation record. Sketches written before the trailer existed
+// simply end at the last model; Load treats that as f64. Flag bits in the
+// precision word: bit 0 = f32 active, bit 1 = f32 plans compiled. Bits 2-3
+// belong to an older format that Load still accepts (see LoadFrom).
 constexpr uint32_t kPrecisionMagic = 0x4e535031;  // "NSP1"
 constexpr size_t kPrecisionTrailerBytes =
     2 * sizeof(uint32_t) + 2 * sizeof(double);
@@ -39,68 +36,22 @@ bool EnvFlagSet(const char* name) {
 // Load/ReleaseTrainer), so cross-sketch serialization is harmless.
 std::mutex g_trainer_rebuild_mu;
 
-// Result of a validation replay: worst divergence seen and how many
-// queries actually contributed a measurement.
-struct DivergenceRecord {
-  double max_div = 0.0;
-  size_t measured = 0;
-};
-
-// Sharded max-divergence reduction shared by the f32 and int8 validation
-// replays. `fn(v, &div)` measures query v (returning false to skip it);
-// queries shard into contiguous ranges, each shard keeps a local record,
-// and the shards fold in fixed order below. max and + are exact
-// reductions, so the result is bit-identical to a serial sweep for any
-// shard layout — the determinism contract construction_parallel_test
-// pins.
-template <typename PerQuery>
-DivergenceRecord ShardedMaxDivergence(size_t n, size_t num_threads,
-                                      const PerQuery& fn) {
-  ThreadPool& pool = ThreadPool::Shared();
-  const size_t shards = pool.NumShards(n, num_threads);
-  std::vector<DivergenceRecord> partial(shards);
-  pool.ParallelForShards(n, num_threads,
-                         [&](size_t s, size_t begin, size_t end) {
-                           DivergenceRecord local;
-                           for (size_t v = begin; v < end; ++v) {
-                             double div;
-                             if (!fn(v, &div)) continue;
-                             if (div > local.max_div) local.max_div = div;
-                             ++local.measured;
-                           }
-                           partial[s] = local;
-                         });
-  DivergenceRecord total;
-  for (const DivergenceRecord& p : partial) {
-    if (p.max_div > total.max_div) total.max_div = p.max_div;
-    total.measured += p.measured;
-  }
-  return total;
-}
-
 }  // namespace
 
 const char* PlanPrecisionName(PlanPrecision p) {
   switch (p) {
     case PlanPrecision::kF32:
       return "f32";
-    case PlanPrecision::kInt8:
-      return "int8";
     case PlanPrecision::kF64:
       break;
   }
   return "f64";
 }
 
-// CI hooks: NEUROSKETCH_FORCE_F32_PLANS=1 / NEUROSKETCH_FORCE_INT8_PLANS=1
-// upgrade default-precision training to that tier so the whole test suite
-// exercises it.
+// CI hook: NEUROSKETCH_FORCE_F32_PLANS=1 upgrades default-precision
+// training to the f32 tier so the whole test suite exercises it.
 bool ForceF32PlansFromEnv() {
   return EnvFlagSet("NEUROSKETCH_FORCE_F32_PLANS");
-}
-
-bool ForceInt8PlansFromEnv() {
-  return EnvFlagSet("NEUROSKETCH_FORCE_INT8_PLANS");
 }
 
 Result<NeuroSketch> NeuroSketch::Train(
@@ -196,32 +147,23 @@ Result<NeuroSketch> NeuroSketch::Train(
   sketch.trainer_ready_.store(true);
   sketch.stats_.train_seconds = train_timer.ElapsedSeconds();
 
-  PlanPrecision requested = config.plan_precision;
-  if (requested == PlanPrecision::kF64) {
-    if (ForceInt8PlansFromEnv()) {
-      requested = PlanPrecision::kInt8;
-    } else if (ForceF32PlansFromEnv()) {
-      requested = PlanPrecision::kF32;
-    }
-  }
   Timer calib_timer;
-  if (requested == PlanPrecision::kInt8) {
-    // Validate-or-fallback chain: int8 calibrates + validates over the
-    // training workload; out of bound it demotes to the f32 tier, which
-    // validates in turn and leaves the sketch on f64 if also out of
-    // bound. Both tiers' measured divergences are retained either way.
-    if (!sketch.EnableInt8(q_ok, config.int8_error_bound,
-                           config.train_threads)) {
-      sketch.EnableF32(q_ok, config.f32_error_bound, config.train_threads);
-    }
-    sketch.stats_.calibrate_seconds = calib_timer.ElapsedSeconds();
-  } else if (requested == PlanPrecision::kF32) {
-    // Compile the f32 tier and validate it over the training workload; on
-    // a blown error bound EnableF32 leaves the sketch serving f64.
-    sketch.EnableF32(q_ok, config.f32_error_bound, config.train_threads);
+  if (sketch.EnableRequestedTier(q_ok, config)) {
     sketch.stats_.calibrate_seconds = calib_timer.ElapsedSeconds();
   }
   return sketch;
+}
+
+bool NeuroSketch::EnableRequestedTier(
+    const std::vector<QueryInstance>& validation,
+    const NeuroSketchConfig& config) {
+  if (config.plan_precision != PlanPrecision::kF32 && !ForceF32PlansFromEnv()) {
+    return false;
+  }
+  // Compile the f32 tier and validate it over the workload; on a blown
+  // error bound EnableF32 leaves the sketch serving f64.
+  EnableF32(validation, config.f32_error_bound, config.train_threads);
+  return true;
 }
 
 Status NeuroSketch::RetrainLeaves(const std::vector<int>& leaf_ids,
@@ -323,32 +265,15 @@ Status NeuroSketch::RetrainLeaves(const std::vector<int>& leaf_ids,
                                    retrain_leaf);
   trainer_ready_.store(true);
 
-  // The narrow tiers were calibrated/validated against the OLD leaf
-  // parameters; serving them over the new ones would be unvalidated.
-  // Drop them and re-run the same validate-or-fallback chain as Train —
-  // the divergence/calibration records are whole-sketch state, so the
-  // replay covers every leaf, not just the retrained ones.
+  // The f32 tier was validated against the OLD leaf parameters; serving
+  // it over the new ones would be unvalidated. Drop it and re-run the
+  // same validate-or-fallback step as Train — the divergence record is
+  // whole-sketch state, so the replay covers every leaf, not just the
+  // retrained ones.
   std::vector<nn::CompiledMlpF32>().swap(plans_f32_);
-  std::vector<nn::CompiledMlpI8>().swap(plans_i8_);
-  int8_absmax_.clear();
   f32_available_ = false;
-  int8_available_ = false;
   precision_ = PlanPrecision::kF64;
-  PlanPrecision requested = config.plan_precision;
-  if (requested == PlanPrecision::kF64) {
-    if (ForceInt8PlansFromEnv()) {
-      requested = PlanPrecision::kInt8;
-    } else if (ForceF32PlansFromEnv()) {
-      requested = PlanPrecision::kF32;
-    }
-  }
-  if (requested == PlanPrecision::kInt8) {
-    if (!EnableInt8(q_ok, config.int8_error_bound, config.train_threads)) {
-      EnableF32(q_ok, config.f32_error_bound, config.train_threads);
-    }
-  } else if (requested == PlanPrecision::kF32) {
-    EnableF32(q_ok, config.f32_error_bound, config.train_threads);
-  }
+  EnableRequestedTier(q_ok, config);
   return Status::OK();
 }
 
@@ -374,25 +299,42 @@ bool NeuroSketch::EnableF32(const std::vector<QueryInstance>& validation,
   });
   // Measure the worst |f32 - f64| divergence in standardized units (the
   // raw network output, before per-leaf rescaling) so the bound does not
-  // depend on the magnitude of the query function's answers. Sharded
-  // replay; bit-identical to serial (see ShardedMaxDivergence).
-  const DivergenceRecord rec = ShardedMaxDivergence(
-      validation.size(), num_threads, [&](size_t v, double* div) {
-        const auto& q = validation[v];
-        const auto* leaf = tree_.Route(q);
-        if (leaf == nullptr || leaf->leaf_id < 0 ||
-            static_cast<size_t>(leaf->leaf_id) >= plans_.size()) {
-          return false;
-        }
-        const int id = leaf->leaf_id;
+  // depend on the magnitude of the query function's answers. Queries
+  // shard into contiguous ranges, each shard keeps a local max and count,
+  // and the shards fold in fixed order below. max and + are exact, so the
+  // record is bit-identical to a serial sweep for any shard layout — the
+  // determinism contract construction_parallel_test pins.
+  const size_t shards = pool.NumShards(validation.size(), num_threads);
+  std::vector<double> shard_max(shards, 0.0);
+  std::vector<size_t> shard_measured(shards, 0);
+  pool.ParallelForShards(
+      validation.size(), num_threads, [&](size_t s, size_t begin, size_t end) {
         nn::Workspace& ws = nn::Workspace::ThreadLocal();
-        const double raw64 = plans_[id].PredictOne(q.q.data(), &ws);
-        const double raw32 = plans_f32_[id].PredictOne(q.q.data(), &ws);
-        *div = std::fabs(raw32 - raw64);
-        return true;
+        double local_max = 0.0;
+        size_t local_measured = 0;
+        for (size_t v = begin; v < end; ++v) {
+          const auto& q = validation[v];
+          const auto* leaf = tree_.Route(q);
+          if (leaf == nullptr || leaf->leaf_id < 0 ||
+              static_cast<size_t>(leaf->leaf_id) >= plans_.size()) {
+            continue;
+          }
+          const int id = leaf->leaf_id;
+          const double raw64 = plans_[id].PredictOne(q.q.data(), &ws);
+          const double raw32 = plans_f32_[id].PredictOne(q.q.data(), &ws);
+          const double div = std::fabs(raw32 - raw64);
+          if (div > local_max) local_max = div;
+          ++local_measured;
+        }
+        shard_max[s] = local_max;
+        shard_measured[s] = local_measured;
       });
-  const double max_div = rec.max_div;
-  const size_t measured = rec.measured;
+  double max_div = 0.0;
+  size_t measured = 0;
+  for (size_t s = 0; s < shards; ++s) {
+    if (shard_max[s] > max_div) max_div = shard_max[s];
+    measured += shard_measured[s];
+  }
   f32_error_bound_ = error_bound;
   f32_max_divergence_ = max_div;
   if (measured == 0 || !(max_div <= error_bound)) {
@@ -405,105 +347,6 @@ bool NeuroSketch::EnableF32(const std::vector<QueryInstance>& validation,
   }
   f32_available_ = true;
   precision_ = PlanPrecision::kF32;
-  return true;
-}
-
-bool NeuroSketch::EnableInt8(const std::vector<QueryInstance>& validation,
-                             double error_bound, size_t num_threads) {
-  if (!compiled()) return false;
-  // Calibration pass: replay the workload through the f64 plans, recording
-  // per-leaf, per-layer input absmax (layer 0 sees the raw query, layer
-  // l > 0 the previous layer's activations). The routed leaf and the f64
-  // prediction are cached per query so the validation pass below pays for
-  // neither a second Route nor a second f64 forward. The replay shards
-  // across threads: each shard accumulates into its own absmax matrix and
-  // coverage counts (queries from two shards may route to the same leaf,
-  // so sharing one matrix would race), and the per-shard records fold in
-  // fixed shard order below. absmax combines by max and coverage by
-  // integer sum — both exact — so the calibration scales are bit-identical
-  // to the serial single-pass sweep for every thread count. routed[] and
-  // raw64[] are indexed by query, disjoint across shards.
-  ThreadPool& pool = ThreadPool::Shared();
-  const size_t shards = pool.NumShards(validation.size(), num_threads);
-  std::vector<std::vector<double>> absmax(plans_.size());
-  std::vector<size_t> covered(plans_.size(), 0);
-  for (size_t i = 0; i < plans_.size(); ++i) {
-    absmax[i].assign(plans_[i].layers().size(), 0.0);
-  }
-  std::vector<std::vector<std::vector<double>>> shard_absmax(shards, absmax);
-  std::vector<std::vector<size_t>> shard_covered(
-      shards, std::vector<size_t>(plans_.size(), 0));
-  std::vector<int> routed(validation.size(), -1);
-  std::vector<double> raw64(validation.size(), 0.0);
-  pool.ParallelForShards(
-      validation.size(), num_threads, [&](size_t s, size_t begin, size_t end) {
-        nn::Workspace& ws = nn::Workspace::ThreadLocal();
-        std::vector<std::vector<double>>& local_absmax = shard_absmax[s];
-        std::vector<size_t>& local_covered = shard_covered[s];
-        for (size_t v = begin; v < end; ++v) {
-          const auto* leaf = tree_.Route(validation[v]);
-          if (leaf == nullptr || leaf->leaf_id < 0 ||
-              static_cast<size_t>(leaf->leaf_id) >= plans_.size()) {
-            continue;
-          }
-          const int id = leaf->leaf_id;
-          routed[v] = id;
-          raw64[v] = plans_[id].CalibrateOne(validation[v].q.data(), &ws,
-                                             local_absmax[id].data());
-          ++local_covered[id];
-        }
-      });
-  for (size_t s = 0; s < shards; ++s) {
-    nn::CombineLayerAbsmax(&absmax, shard_absmax[s]);
-    for (size_t i = 0; i < plans_.size(); ++i) {
-      covered[i] += shard_covered[s][i];
-    }
-  }
-  // Quantize calibrated leaves; a leaf with no calibration coverage keeps
-  // an empty int8 plan and serves its f64 plan instead — int8 is never
-  // served with made-up scales. Leaves quantize independently (pure
-  // function of the f64 plan + its absmax), so this fans out per leaf.
-  plans_i8_.assign(plans_.size(), nn::CompiledMlpI8());
-  pool.ParallelFor(plans_.size(), num_threads, [&](size_t i) {
-    if (covered[i] > 0) {
-      plans_i8_[i] = nn::CompiledMlpI8::FromPlan(plans_[i], absmax[i]);
-    }
-  });
-  // Validate: worst |int8 - f64| divergence in standardized units over
-  // the same workload (uncovered leaves contribute nothing — they will
-  // serve f64 bits anyway). Same sharded max reduction as EnableF32.
-  const DivergenceRecord rec = ShardedMaxDivergence(
-      validation.size(), num_threads, [&](size_t v, double* div) {
-        const int id = routed[v];
-        if (id < 0 || plans_i8_[id].empty()) return false;
-        nn::Workspace& ws = nn::Workspace::ThreadLocal();
-        const double raw8 =
-            plans_i8_[id].PredictOne(validation[v].q.data(), &ws);
-        *div = std::fabs(raw8 - raw64[v]);
-        return true;
-      });
-  const double max_div = rec.max_div;
-  const size_t measured = rec.measured;
-  int8_error_bound_ = error_bound;
-  int8_max_divergence_ = max_div;
-  if (measured == 0 || !(max_div <= error_bound)) {
-    // Blown bound, NaN divergence, or no validation coverage at all:
-    // drop the tier; never serve unvalidated int8.
-    plans_i8_.clear();
-    int8_absmax_.clear();
-    int8_available_ = false;
-    if (precision_ == PlanPrecision::kInt8) precision_ = PlanPrecision::kF64;
-    return false;
-  }
-  // Retain the calibration record as the canonical copy: Save persists it
-  // and EnsureTier re-quantizes from it after a ReleaseTier. Uncovered
-  // leaves keep an empty record, mirroring their empty plan.
-  int8_absmax_.assign(plans_.size(), {});
-  for (size_t i = 0; i < plans_.size(); ++i) {
-    if (covered[i] > 0) int8_absmax_[i] = std::move(absmax[i]);
-  }
-  int8_available_ = true;
-  precision_ = PlanPrecision::kInt8;
   return true;
 }
 
@@ -533,25 +376,6 @@ Status NeuroSketch::EnsureTier(PlanPrecision precision) {
     }
     return Status::OK();
   }
-  if (precision == PlanPrecision::kInt8) {
-    if (!int8_available_) {
-      return Status::InvalidArgument(
-          "no int8 plans compiled: train with plan_precision = kInt8 or call "
-          "EnableInt8");
-    }
-    if (plans_i8_.empty()) {
-      // Deterministic re-quantization from the f64 parameters with the
-      // canonical calibration record; uncovered leaves stay empty and
-      // keep serving their f64 plan.
-      plans_i8_.assign(plans_.size(), nn::CompiledMlpI8());
-      for (size_t i = 0; i < plans_.size(); ++i) {
-        if (!int8_absmax_[i].empty()) {
-          plans_i8_[i] = nn::CompiledMlpI8::FromPlan(plans_[i], int8_absmax_[i]);
-        }
-      }
-    }
-    return Status::OK();
-  }
   // kF64: the canonical parameter store, always resident on a warm sketch.
   return Status::OK();
 }
@@ -563,29 +387,8 @@ size_t NeuroSketch::ReleaseTier(PlanPrecision precision) {
   // it means going cold — dropping the whole sketch object).
   if (precision == precision_ || precision == PlanPrecision::kF64) return 0;
   const size_t freed = PlanBytes(precision);
-  if (precision == PlanPrecision::kF32) {
-    std::vector<nn::CompiledMlpF32>().swap(plans_f32_);
-  } else {
-    std::vector<nn::CompiledMlpI8>().swap(plans_i8_);
-  }
+  std::vector<nn::CompiledMlpF32>().swap(plans_f32_);
   return freed;
-}
-
-Status NeuroSketch::RescaleInt8Calibration(double factor) {
-  if (!int8_available_ || int8_absmax_.empty()) {
-    return Status::InvalidArgument(
-        "sketch does not carry the int8 tier: nothing to rescale");
-  }
-  if (!(factor > 0.0)) {
-    return Status::InvalidArgument("rescale factor must be positive");
-  }
-  for (std::vector<double>& leaf : int8_absmax_) {
-    for (double& a : leaf) a *= factor;
-  }
-  // Swap-drop (ReleaseTier refuses the active tier) and re-quantize so
-  // serving actually reflects the perturbed record.
-  std::vector<nn::CompiledMlpI8>().swap(plans_i8_);
-  return EnsureTier(PlanPrecision::kInt8);
 }
 
 void NeuroSketch::EnsureTrainer() const {
@@ -625,8 +428,6 @@ size_t NeuroSketch::ResidentBytes() const {
   bytes += 2 * plans_.size() * sizeof(double);  // per-leaf mean + scale
   bytes += PlanBytes(PlanPrecision::kF64);
   bytes += PlanBytes(PlanPrecision::kF32);
-  bytes += PlanBytes(PlanPrecision::kInt8);
-  for (const auto& a : int8_absmax_) bytes += a.size() * sizeof(double);
   bytes += TrainerBytes();
   return bytes;
 }
@@ -639,16 +440,9 @@ double NeuroSketch::Answer(const QueryInstance& q) const {
   }
   const int id = leaf->leaf_id;
   nn::Workspace& ws = nn::Workspace::ThreadLocal();
-  double raw;
-  if (precision_ == PlanPrecision::kInt8 && !plans_i8_[id].empty()) {
-    raw = plans_i8_[id].PredictOne(q.q.data(), &ws);
-  } else if (precision_ == PlanPrecision::kF32) {
-    raw = plans_f32_[id].PredictOne(q.q.data(), &ws);
-  } else {
-    // kF64, or an int8-tier leaf with no calibration coverage (which
-    // serves the f64 reference bits rather than unvalidated int8).
-    raw = plans_[id].PredictOne(q.q.data(), &ws);
-  }
+  const double raw = precision_ == PlanPrecision::kF32
+                         ? plans_f32_[id].PredictOne(q.q.data(), &ws)
+                         : plans_[id].PredictOne(q.q.data(), &ws);
   return raw * target_scale_[id] + target_mean_[id];
 }
 
@@ -709,26 +503,19 @@ void NeuroSketch::AnswerBatchVectorizedTo(
     if (ids.empty()) continue;
     // Gather the bucket's inputs and stage its predictions in the arena:
     // per-batch cost is bookkeeping only, the model math never allocates.
-    // When a narrow tier is active the gather marshals straight into the
+    // When the f32 tier is active the gather marshals straight into the
     // float arena — casting once per element during the copy instead of
     // staging doubles and re-reading them for a separate narrowing pass
     // (8 fewer bytes of traffic per element, same float bits).
-    const bool i8 =
-        precision_ == PlanPrecision::kInt8 && !plans_i8_[m].empty();
-    const bool narrow = i8 || precision_ == PlanPrecision::kF32;
     double* pred = ws.Output(ids.size());
-    if (narrow) {
+    if (precision_ == PlanPrecision::kF32) {
       float* inputs = ws.InputF(ids.size() * qdim);
       for (size_t r = 0; r < ids.size(); ++r) {
         const auto& q = queries[ids[r]].q;
         float* dst = inputs + r * qdim;
         for (size_t j = 0; j < qdim; ++j) dst[j] = static_cast<float>(q[j]);
       }
-      if (i8) {
-        plans_i8_[m].PredictBatchF32In(inputs, ids.size(), &ws, pred);
-      } else {
-        plans_f32_[m].PredictBatchF32In(inputs, ids.size(), &ws, pred);
-      }
+      plans_f32_[m].PredictBatchF32In(inputs, ids.size(), &ws, pred);
     } else {
       double* inputs = ws.Input(ids.size() * qdim);
       for (size_t r = 0; r < ids.size(); ++r) {
@@ -747,8 +534,6 @@ size_t NeuroSketch::PlanBytes(PlanPrecision precision) const {
   size_t bytes = 0;
   if (precision == PlanPrecision::kF32) {
     for (const auto& p : plans_f32_) bytes += p.SizeBytes();
-  } else if (precision == PlanPrecision::kInt8) {
-    for (const auto& p : plans_i8_) bytes += p.SizeBytes();
   } else {
     for (const auto& p : plans_) bytes += p.SizeBytes();
   }
@@ -762,8 +547,8 @@ void NeuroSketch::ExportBuildMetrics(metrics::MetricsRegistry* registry,
   registry->SetGauge(prefix + "train_seconds", stats_.train_seconds,
                      "Construction phase wall time: per-leaf MLP training");
   registry->SetGauge(prefix + "calibrate_seconds", stats_.calibrate_seconds,
-                     "Construction phase wall time: narrow-tier "
-                     "calibrate/validate replays (0 for plain f64)");
+                     "Construction phase wall time: f32 "
+                     "compile-and-validate replay (0 for plain f64)");
   registry->SetGauge(prefix + "num_partitions",
                      static_cast<double>(stats_.num_partitions),
                      "Final leaf count after the AQC merge");
@@ -788,50 +573,30 @@ void NeuroSketch::ExportBuildMetrics(metrics::MetricsRegistry* registry,
       stats_.leaf_aqc.empty() ? 0.0 : aqc_sum / stats_.leaf_aqc.size());
   registry->SetGauge(prefix + "active_precision",
                      static_cast<double>(precision_),
-                     "Serving tier: 0 = f64, 1 = f32, 2 = int8");
-  for (PlanPrecision tier :
-       {PlanPrecision::kF64, PlanPrecision::kF32, PlanPrecision::kInt8}) {
+                     "Serving tier: 0 = f64, 1 = f32");
+  for (PlanPrecision tier : {PlanPrecision::kF64, PlanPrecision::kF32}) {
     registry->SetGauge(prefix + "plan_bytes{tier=\"" +
                            std::string(PlanPrecisionName(tier)) + "\"}",
                        static_cast<double>(PlanBytes(tier)),
                        "Resident compiled-plan bytes per precision tier");
   }
   // The validate-or-fallback record: a tier whose measured divergence
-  // exceeds its bound was dropped (fell back down the chain), which
-  // reads here as divergence > bound with zero plan bytes for the tier.
+  // exceeds its bound was dropped (fell back to f64), which reads here
+  // as divergence > bound with zero plan bytes for the tier.
   registry->SetGauge(prefix + "f32_max_divergence", f32_max_divergence_,
                      "Max |f32 - f64| over the validation workload, "
                      "standardized units");
   registry->SetGauge(prefix + "f32_error_bound", f32_error_bound_);
-  registry->SetGauge(prefix + "int8_max_divergence", int8_max_divergence_,
-                     "Max |int8 - f64| over the validation workload, "
-                     "standardized units");
-  registry->SetGauge(prefix + "int8_error_bound", int8_error_bound_);
-  size_t uncalibrated = 0;
-  if (int8_available_) {
-    for (const auto& a : int8_absmax_) uncalibrated += a.empty() ? 1 : 0;
-  }
-  registry->SetGauge(prefix + "int8_uncalibrated_leaves",
-                     static_cast<double>(uncalibrated),
-                     "Leaves the int8 tier serves from f64 for lack of "
-                     "calibration coverage");
 }
 
 size_t NeuroSketch::SizeBytes() const {
   // Exactly the bytes Save() writes, in the same order: header fields,
-  // routing block, per-leaf scales, serialized models, precision trailer
-  // (plus the int8 calibration block when that tier is compiled).
+  // routing block, per-leaf scales, serialized models, precision trailer.
   size_t bytes = 3 * sizeof(uint64_t);  // qdim, routing size, model count
   bytes += tree_.EncodeRouting().size() * sizeof(double);
   bytes += 2 * plans_.size() * sizeof(double);  // per-leaf mean + scale
   for (const auto& p : plans_) bytes += nn::SerializedModelBytes(p);
   bytes += kPrecisionTrailerBytes;
-  if (int8_available_) {
-    bytes += 2 * sizeof(double);  // int8 bound + measured divergence
-    for (const auto& a : int8_absmax_) {
-      bytes += sizeof(uint64_t) + a.size() * sizeof(double);
-    }
-  }
   return bytes;
 }
 
@@ -872,39 +637,17 @@ Status NeuroSketch::SaveTo(std::ostream* out_stream) const {
   // Bit 0: f32 is the active serving tier. Bit 1: the sketch carries the
   // f32 tier (it may be carried while f64 is temporarily selected, or
   // released from memory; the tier must survive the round-trip either
-  // way). Bit 2: int8 active. Bit 3: the sketch carries the int8 tier —
-  // the calibration block below follows. Carried, not materialized: a
-  // released tier serializes identically because the rebuild is a pure
-  // function of the f64 parameters (+ the absmax block for int8).
-  const uint32_t precision =
-      (precision_ == PlanPrecision::kF32 ? 1u : 0u) |
-      (f32_available_ ? 2u : 0u) |
-      (precision_ == PlanPrecision::kInt8 ? 4u : 0u) |
-      (int8_available_ ? 8u : 0u);
+  // way). Carried, not materialized: a released tier serializes
+  // identically because the rebuild is a pure function of the f64
+  // parameters.
+  const uint32_t precision = (precision_ == PlanPrecision::kF32 ? 1u : 0u) |
+                             (f32_available_ ? 2u : 0u);
   out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
   out.write(reinterpret_cast<const char*>(&precision), sizeof(precision));
   out.write(reinterpret_cast<const char*>(&f32_error_bound_),
             sizeof(f32_error_bound_));
   out.write(reinterpret_cast<const char*>(&f32_max_divergence_),
             sizeof(f32_max_divergence_));
-  if (int8_available_) {
-    // Int8 calibration block: validation record + per-leaf per-layer
-    // input absmax (from the canonical record, so a released tier
-    // serializes the same bytes as a materialized one). Parameters stay
-    // f64 above; Load re-quantizes from them with these scales,
-    // reproducing the identical int8 plans. An uncovered
-    // (never-calibrated) leaf writes zero layers.
-    out.write(reinterpret_cast<const char*>(&int8_error_bound_),
-              sizeof(int8_error_bound_));
-    out.write(reinterpret_cast<const char*>(&int8_max_divergence_),
-              sizeof(int8_max_divergence_));
-    for (const auto& a : int8_absmax_) {
-      const uint64_t nl = a.size();
-      out.write(reinterpret_cast<const char*>(&nl), sizeof(nl));
-      out.write(reinterpret_cast<const char*>(a.data()),
-                static_cast<std::streamsize>(nl * sizeof(double)));
-    }
-  }
   if (!out.good()) return Status::IOError("sketch write failed");
   return Status::OK();
 }
@@ -921,6 +664,10 @@ Result<NeuroSketch> NeuroSketch::LoadFrom(std::istream* in_stream) {
   in.read(reinterpret_cast<char*>(&qdim), sizeof(qdim));
   in.read(reinterpret_cast<char*>(&rsize), sizeof(rsize));
   if (!in.good()) return Status::IOError("truncated sketch header");
+  // Every length field is checked against the bytes left before it sizes
+  // an allocation: a hostile count must fail as a Status, not abort.
+  NS_RETURN_NOT_OK(
+      nn::CheckStreamHolds(&in, rsize, sizeof(double), "sketch routing"));
   std::vector<double> routing(rsize);
   in.read(reinterpret_cast<char*>(routing.data()),
           static_cast<std::streamsize>(rsize * sizeof(double)));
@@ -931,6 +678,8 @@ Result<NeuroSketch> NeuroSketch::LoadFrom(std::istream* in_stream) {
   NS_ASSIGN_OR_RETURN(sketch.tree_,
                       QuerySpaceKdTree::DecodeRouting(routing, qdim));
   sketch.routing_doubles_ = routing.size();
+  NS_RETURN_NOT_OK(nn::CheckStreamHolds(&in, nmodels, 2 * sizeof(double),
+                                        "sketch scales"));
   sketch.target_mean_.resize(nmodels);
   sketch.target_scale_.resize(nmodels);
   in.read(reinterpret_cast<char*>(sketch.target_mean_.data()),
@@ -971,46 +720,43 @@ Result<NeuroSketch> NeuroSketch::LoadFrom(std::istream* in_stream) {
     if (precision > 15u) {
       return Status::InvalidArgument("unknown plan precision in sketch file");
     }
+    // Bits 2-3 (and the block they announce) come from sketches written
+    // while an int8 plan tier existed: bit 2 = int8 active, bit 3 = int8
+    // carried. That tier is retired; its calibration block is parsed
+    // with the original truncation and shape checks and discarded, and an
+    // int8-active image comes up on f32 when it carries f32, else on f64.
     const bool active_f32 = (precision & 1u) != 0;
     const bool has_f32 = (precision & 2u) != 0 || active_f32;
-    const bool active_i8 = (precision & 4u) != 0;
-    const bool has_i8 = (precision & 8u) != 0 || active_i8;
+    const bool has_int8 = (precision & 12u) != 0;
     // Carried tiers are recorded but NOT materialized here — only the
     // active tier's plans are rebuilt below, so a loaded sketch starts
     // at its lean serving footprint. EnsureTier/SelectPrecision rebuild
-    // an inactive carried tier on demand, bit-identically (f32 by
-    // narrowing, int8 by re-quantizing with the calibration record read
-    // next).
+    // an inactive carried tier on demand, bit-identically.
     sketch.f32_available_ = has_f32;
-    if (has_i8) {
-      in.read(reinterpret_cast<char*>(&sketch.int8_error_bound_),
-              sizeof(sketch.int8_error_bound_));
-      in.read(reinterpret_cast<char*>(&sketch.int8_max_divergence_),
-              sizeof(sketch.int8_max_divergence_));
-      sketch.int8_absmax_.assign(sketch.plans_.size(), {});
+    if (has_int8) {
+      // int8 bound + measured divergence, then per leaf a layer count and
+      // that many per-layer absmax doubles (0 layers = uncovered leaf).
+      double record[2];
+      in.read(reinterpret_cast<char*>(record), sizeof(record));
+      if (!in.good()) return Status::IOError("truncated int8 calibration");
       for (size_t i = 0; i < sketch.plans_.size(); ++i) {
         uint64_t nl = 0;
         in.read(reinterpret_cast<char*>(&nl), sizeof(nl));
         if (!in.good()) return Status::IOError("truncated int8 calibration");
-        if (nl == 0) continue;  // uncovered leaf: stays on its f64 plan
+        if (nl == 0) continue;
         if (nl != sketch.plans_[i].layers().size()) {
           return Status::InvalidArgument(
               "int8 calibration does not match model architecture");
         }
-        sketch.int8_absmax_[i].resize(nl);
-        in.read(reinterpret_cast<char*>(sketch.int8_absmax_[i].data()),
+        std::vector<double> absmax(nl);
+        in.read(reinterpret_cast<char*>(absmax.data()),
                 static_cast<std::streamsize>(nl * sizeof(double)));
         if (!in.good()) return Status::IOError("truncated int8 calibration");
       }
-      sketch.int8_available_ = true;
     }
-    if (active_i8) {
-      sketch.precision_ = PlanPrecision::kInt8;
-    } else if (active_f32) {
-      sketch.precision_ = PlanPrecision::kF32;
-    } else {
-      sketch.precision_ = PlanPrecision::kF64;
-    }
+    const bool narrow_active = (precision & 5u) != 0;  // f32 or int8
+    sketch.precision_ = has_f32 && narrow_active ? PlanPrecision::kF32
+                                                 : PlanPrecision::kF64;
     // Uphold the serving invariant: the ACTIVE tier is always
     // materialized (Answer never checks).
     NS_RETURN_NOT_OK(sketch.EnsureTier(sketch.precision_));

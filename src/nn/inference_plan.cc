@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace neurosketch {
 namespace nn {
@@ -10,19 +9,6 @@ namespace nn {
 Workspace& Workspace::ThreadLocal() {
   thread_local Workspace ws;
   return ws;
-}
-
-void CombineLayerAbsmax(std::vector<std::vector<double>>* dst,
-                        const std::vector<std::vector<double>>& src) {
-  assert(dst->size() == src.size());
-  for (size_t i = 0; i < src.size(); ++i) {
-    std::vector<double>& d = (*dst)[i];
-    const std::vector<double>& s = src[i];
-    assert(d.size() == s.size());
-    for (size_t l = 0; l < s.size(); ++l) {
-      if (s[l] > d[l]) d[l] = s[l];
-    }
-  }
 }
 
 CompiledMlp CompiledMlp::FromConfig(const MlpConfig& config) {
@@ -112,26 +98,6 @@ void CompiledMlp::PredictBatch(const double* x, size_t rows, Workspace* ws,
   }
 }
 
-double CompiledMlp::CalibrateOne(const double* x, Workspace* ws,
-                                 double* layer_absmax) const {
-  assert(!layers_.empty() && config_.out_dim == 1);
-  double* ping = ws->Ping(max_width_);
-  double* pong = ws->Pong(max_width_);
-  const double* cur = x;
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    const PlanLayer& L = layers_[l];
-    for (size_t i = 0; i < L.in; ++i) {
-      const double a = std::fabs(cur[i]);
-      if (a > layer_absmax[l]) layer_absmax[l] = a;
-    }
-    FusedDenseForward(cur, 1, L.in, params_.data() + L.w_off,
-                      params_.data() + L.b_off, L.act, ping, L.out);
-    cur = ping;
-    std::swap(ping, pong);
-  }
-  return cur[0];
-}
-
 CompiledMlpF32 CompiledMlpF32::FromPlan(const CompiledMlp& plan) {
   CompiledMlpF32 f32;
   f32.config_ = plan.config();
@@ -190,113 +156,6 @@ void CompiledMlpF32::PredictBatchF32In(const float* x, size_t rows,
     cur = dst;
     std::swap(ping, pong);
   }
-  for (size_t i = 0; i < rows * config_.out_dim; ++i) {
-    out[i] = static_cast<double>(staged[i]);
-  }
-}
-
-CompiledMlpI8 CompiledMlpI8::FromPlan(const CompiledMlp& plan,
-                                      const std::vector<double>& layer_absmax) {
-  assert(layer_absmax.size() == plan.layers().size());
-  CompiledMlpI8 i8;
-  i8.config_ = plan.config();
-  i8.absmax_ = layer_absmax;
-  i8.max_width_ = plan.max_width();
-  i8.max_quant_width_ = std::max(plan.in_dim(), plan.max_width());
-  const std::vector<double>& params = plan.params();
-  // Deterministic double-precision rounding everywhere below: the plan is
-  // a pure function of (f64 params, absmax), so Load reproduces it.
-  auto quantize = [](double v) {
-    double s = v < 127.0 ? v : 127.0;
-    s = s > -127.0 ? s : -127.0;
-    return static_cast<int8_t>(s >= 0.0 ? static_cast<int32_t>(s + 0.5)
-                                        : static_cast<int32_t>(s - 0.5));
-  };
-  for (size_t l = 0; l < plan.layers().size(); ++l) {
-    const PlanLayer& L = plan.layers()[l];
-    I8Layer meta;
-    meta.in = L.in;
-    meta.out = L.out;
-    meta.act = L.act;
-    meta.w_off = i8.qweights_.size();
-    meta.f_off = i8.fbuf_.size();
-    const double amax = layer_absmax[l];
-    meta.in_inv_scale =
-        amax > 0.0 ? static_cast<float>(127.0 / amax) : 0.0f;
-    const double in_scale = amax > 0.0 ? amax / 127.0 : 0.0;
-    const double* w = params.data() + L.w_off;
-    const double* b = params.data() + L.b_off;
-    // Per-output-column symmetric weight scales.
-    i8.qweights_.resize(meta.w_off + L.in * L.out);
-    i8.fbuf_.resize(meta.f_off + 2 * L.out);
-    int8_t* qw = i8.qweights_.data() + meta.w_off;
-    float* deq = i8.fbuf_.data() + meta.f_off;
-    float* bias = deq + L.out;
-    for (size_t j = 0; j < L.out; ++j) {
-      double wmax = 0.0;
-      for (size_t p = 0; p < L.in; ++p) {
-        const double a = std::fabs(w[p * L.out + j]);
-        if (a > wmax) wmax = a;
-      }
-      const double w_inv = wmax > 0.0 ? 127.0 / wmax : 0.0;
-      for (size_t p = 0; p < L.in; ++p) {
-        qw[p * L.out + j] = quantize(w[p * L.out + j] * w_inv);
-      }
-      deq[j] = static_cast<float>(in_scale * (wmax / 127.0));
-      bias[j] = static_cast<float>(b[j]);
-    }
-    i8.layers_.push_back(meta);
-  }
-  return i8;
-}
-
-void CompiledMlpI8::Run(const float* x, size_t rows, Workspace* ws,
-                        float* staged) const {
-  float* ping = ws->PingF(rows * max_width_);
-  float* pong = ws->PongF(rows * max_width_);
-  int8_t* quant = ws->QuantI8(rows * max_quant_width_);
-  int32_t* acc = ws->AccI32(max_width_);
-  const float* cur = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    const I8Layer& L = layers_[i];
-    QuantizeSymmetricI8(cur, rows * L.in, L.in_inv_scale, quant);
-    const float* deq = fbuf_.data() + L.f_off;
-    const float* bias = deq + L.out;
-    float* dst = (i + 1 == layers_.size()) ? staged : ping;
-    FusedDenseForwardI8(quant, rows, L.in, qweights_.data() + L.w_off, bias,
-                        deq, L.act, acc, dst, L.out);
-    cur = dst;
-    std::swap(ping, pong);
-  }
-}
-
-double CompiledMlpI8::PredictOne(const double* x, Workspace* ws) const {
-  assert(!layers_.empty() && config_.out_dim == 1);
-  float* xin = ws->InputF(config_.in_dim);
-  for (size_t i = 0; i < config_.in_dim; ++i) {
-    xin[i] = static_cast<float>(x[i]);
-  }
-  float* staged = ws->OutputF(1);
-  Run(xin, 1, ws, staged);
-  return static_cast<double>(staged[0]);
-}
-
-void CompiledMlpI8::PredictBatch(const double* x, size_t rows, Workspace* ws,
-                                 double* out) const {
-  if (rows == 0) return;
-  float* xin = ws->InputF(rows * config_.in_dim);
-  for (size_t i = 0; i < rows * config_.in_dim; ++i) {
-    xin[i] = static_cast<float>(x[i]);
-  }
-  PredictBatchF32In(xin, rows, ws, out);
-}
-
-void CompiledMlpI8::PredictBatchF32In(const float* x, size_t rows,
-                                      Workspace* ws, double* out) const {
-  assert(!layers_.empty());
-  if (rows == 0) return;
-  float* staged = ws->OutputF(rows * config_.out_dim);
-  Run(x, rows, ws, staged);
   for (size_t i = 0; i < rows * config_.out_dim; ++i) {
     out[i] = static_cast<double>(staged[i]);
   }

@@ -11,17 +11,10 @@
 // layout narrowed to float (half the footprint, twice the SIMD lanes). It
 // is NOT bit-identical to the f64 reference; core/NeuroSketch validates
 // its divergence against an error bound before serving from it.
-//
-// CompiledMlpI8 is the quantized tier: weights as int8 with symmetric
-// per-layer activation scales and per-output-column weight scales derived
-// from a calibration pass over the f64 plan (CompiledMlp::CalibrateOne),
-// executed with int32 accumulation and f32 requantization. ~1/8 the f64
-// flat-buffer footprint; same validate-or-fallback contract as f32.
 #ifndef NEUROSKETCH_NN_INFERENCE_PLAN_H_
 #define NEUROSKETCH_NN_INFERENCE_PLAN_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "nn/mlp.h"
@@ -58,11 +51,6 @@ class Workspace {
   float* InputF(size_t n) { return Ensure(&input_f_, n); }
   float* OutputF(size_t n) { return Ensure(&output_f_, n); }
 
-  /// \brief Int8-tier scratch: quantized-activation staging and the int32
-  /// accumulator row the fused int8 kernel requires.
-  int8_t* QuantI8(size_t n) { return Ensure(&quant_i8_, n); }
-  int32_t* AccI32(size_t n) { return Ensure(&acc_i32_, n); }
-
   /// \brief Per-leaf bucketing scratch for vectorized batch answering: at
   /// least n index buckets, the first n cleared (capacity retained), so a
   /// warm thread re-buckets arbitrarily many batches without allocating.
@@ -83,20 +71,8 @@ class Workspace {
   }
   std::vector<double> ping_, pong_, input_, output_;
   std::vector<float> ping_f_, pong_f_, input_f_, output_f_;
-  std::vector<int8_t> quant_i8_;
-  std::vector<int32_t> acc_i32_;
   std::vector<std::vector<size_t>> buckets_;
 };
-
-/// \brief Fixed-order shard combine for parallel int8 calibration: raise
-/// each entry of `dst` (per-leaf, per-layer input absmax) to the matching
-/// entry of `src`. max is associative and commutative over doubles (NaN
-/// never enters: absmax entries come from std::fabs comparisons that drop
-/// NaN), so folding the shards in shard order reproduces the serial
-/// single-pass record bit-for-bit. `src` must have the same shape as
-/// `dst`.
-void CombineLayerAbsmax(std::vector<std::vector<double>>* dst,
-                        const std::vector<std::vector<double>>& src);
 
 /// \brief Execution plan compiled from a trained Mlp: flat parameter
 /// buffer + per-layer geometry, no per-call allocation, enum-dispatched
@@ -125,17 +101,6 @@ class CompiledMlp {
   /// alias x. Bit-identical to Mlp::Predict on the same batch.
   void PredictBatch(const double* x, size_t rows, Workspace* ws,
                     double* out) const;
-
-  /// \brief Calibration probe for the int8 tier: runs the f64 layer loop
-  /// on `x` and raises layer_absmax[l] (one slot per layer) to the max
-  /// |value| layer l's input reached — layer 0 sees the raw input, layer
-  /// l > 0 the previous layer's activations. Returns the forward-pass
-  /// result (same bits as PredictOne; out_dim() must be 1) so a
-  /// calibrate-then-validate pass pays for the f64 forward only once.
-  /// Accumulate over a workload, then feed the absmax to
-  /// CompiledMlpI8::FromPlan.
-  double CalibrateOne(const double* x, Workspace* ws,
-                      double* layer_absmax) const;
 
   bool empty() const { return layers_.empty(); }
   size_t in_dim() const { return config_.in_dim; }
@@ -201,85 +166,6 @@ class CompiledMlpF32 {
   std::vector<PlanLayer> layers_;
   std::vector<float> params_;
   size_t max_width_ = 0;
-};
-
-/// \brief Int8-quantized clone of a CompiledMlp. Weights are quantized
-/// symmetrically with one scale per output column (per-row in the output-
-/// channel sense); activations are quantized per layer with a symmetric
-/// scale derived from a calibration pass (per-layer input absmax over a
-/// workload, CompiledMlp::CalibrateOne). Execution quantizes each layer's
-/// f32 input to int8, runs the fused int8 GEMM with exact int32
-/// accumulation, and requantizes to f32 through a folded per-column
-/// multiplier before the bias + activation epilogue. ~1/8 the f64 plan's
-/// weight footprint. Quantization is a deterministic function of the f64
-/// plan and the calibration absmax vector, so rebuilding from the saved
-/// f64 parameters + scales reproduces the exact same int8 plan.
-/// Activations beyond the calibrated range saturate at +/-127; a
-/// zero-range (constant-zero) layer input quantizes to all zeros and the
-/// layer degenerates to act(bias), matching the f64 reference on that
-/// input. core/NeuroSketch validates the tier before serving from it.
-class CompiledMlpI8 {
- public:
-  CompiledMlpI8() = default;
-
-  /// \brief Quantize `plan` using per-layer input absmax from calibration
-  /// (layer_absmax.size() must equal plan.layers().size()).
-  static CompiledMlpI8 FromPlan(const CompiledMlp& plan,
-                                const std::vector<double>& layer_absmax);
-
-  /// \brief Single-input forward pass; x has in_dim() doubles.
-  double PredictOne(const double* x, Workspace* ws) const;
-
-  /// \brief Batched forward pass over `rows` row-major double inputs.
-  /// Row r is bit-identical to PredictOne on row r.
-  void PredictBatch(const double* x, size_t rows, Workspace* ws,
-                    double* out) const;
-
-  /// \brief Float-input batched variant (see CompiledMlpF32's): the
-  /// serving gather narrows once, no f64 staging pass. x may be the
-  /// workspace's InputF buffer.
-  void PredictBatchF32In(const float* x, size_t rows, Workspace* ws,
-                         double* out) const;
-
-  bool empty() const { return layers_.empty(); }
-  size_t in_dim() const { return config_.in_dim; }
-  size_t out_dim() const { return config_.out_dim; }
-  size_t num_params() const { return qweights_.size(); }
-  /// \brief Resident footprint: int8 weights + f32 bias/dequant + scales.
-  size_t SizeBytes() const {
-    return qweights_.size() * sizeof(int8_t) + fbuf_.size() * sizeof(float) +
-           absmax_.size() * sizeof(double);
-  }
-  const MlpConfig& config() const { return config_; }
-  /// \brief The calibration record (per-layer input absmax) this plan was
-  /// quantized with — what NeuroSketch::Save persists so Load can rebuild
-  /// the identical plan from the f64 parameters.
-  const std::vector<double>& layer_absmax() const { return absmax_; }
-
- private:
-  /// Per-layer quantized geometry: offsets into the int8 weight buffer and
-  /// the f32 buffer (per layer: dequant multipliers then bias, out each),
-  /// plus the activation-quantization multiplier 127/absmax (0 for a
-  /// zero-range layer: everything quantizes to 0).
-  struct I8Layer {
-    size_t in = 0, out = 0;
-    size_t w_off = 0;  // into qweights_
-    size_t f_off = 0;  // into fbuf_: [deq (out), bias (out)]
-    Activation act = Activation::kIdentity;
-    float in_inv_scale = 0.0f;
-  };
-
-  /// Layer loop shared by every surface: quantize, int8 GEMM, requantize.
-  /// Writes the rows x out_dim float results to `staged`.
-  void Run(const float* x, size_t rows, Workspace* ws, float* staged) const;
-
-  MlpConfig config_;
-  std::vector<I8Layer> layers_;
-  std::vector<int8_t> qweights_;
-  std::vector<float> fbuf_;
-  std::vector<double> absmax_;
-  size_t max_width_ = 0;
-  size_t max_quant_width_ = 0;  // max(in_dim, widest layer input)
 };
 
 }  // namespace nn

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 namespace neurosketch {
 namespace nn {
@@ -53,19 +54,56 @@ Result<MlpConfig> ReadHeader(std::istream* in) {
   if (act > static_cast<uint32_t>(Activation::kSigmoid)) {
     return Status::InvalidArgument("unknown activation id in model stream");
   }
+  NS_RETURN_NOT_OK(
+      CheckStreamHolds(in, n_hidden, sizeof(uint64_t), "hidden widths"));
   MlpConfig cfg;
   cfg.in_dim = in_dim;
   cfg.out_dim = out_dim;
   cfg.hidden_act = static_cast<Activation>(act);
+  cfg.hidden.reserve(n_hidden);
   for (uint64_t i = 0; i < n_hidden; ++i) {
     uint64_t h = 0;
     if (!ReadU64(in, &h)) return Status::IOError("truncated hidden widths");
     cfg.hidden.push_back(h);
   }
+  // The parameter block must fit in the stream before the loaders size
+  // their buffers from these widths; a count that wraps is as hostile as
+  // one that is too large.
+  uint64_t params = 0, prev = in_dim;
+  bool wrapped = false;
+  auto add_layer = [&](uint64_t out) {
+    uint64_t weights = 0;
+    wrapped |= __builtin_mul_overflow(prev, out, &weights);
+    wrapped |= __builtin_add_overflow(params, weights, &params);
+    wrapped |= __builtin_add_overflow(params, out, &params);  // bias
+    prev = out;
+  };
+  for (uint64_t h : cfg.hidden) add_layer(h);
+  add_layer(out_dim);
+  if (wrapped) return Status::IOError("parameter block length overflows");
+  NS_RETURN_NOT_OK(
+      CheckStreamHolds(in, params, sizeof(double), "parameter block"));
   return cfg;
 }
 
 }  // namespace
+
+Status CheckStreamHolds(std::istream* in, uint64_t count, size_t elem_bytes,
+                        const char* what) {
+  const std::istream::pos_type here = in->tellg();
+  if (here == std::istream::pos_type(-1)) return Status::OK();
+  in->seekg(0, std::ios::end);
+  const std::istream::pos_type end = in->tellg();
+  in->clear();
+  in->seekg(here);
+  if (end == std::istream::pos_type(-1) || end < here) return Status::OK();
+  const uint64_t left = static_cast<uint64_t>(end - here);
+  if (count > left / elem_bytes) {
+    return Status::IOError(std::string("truncated ") + what + ": length " +
+                           std::to_string(count) + " exceeds the stream");
+  }
+  return Status::OK();
+}
 
 Status SaveMlp(const Mlp& model, std::ostream* out) {
   WriteHeader(model.config(), out);

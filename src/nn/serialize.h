@@ -3,6 +3,8 @@
 #ifndef NEUROSKETCH_NN_SERIALIZE_H_
 #define NEUROSKETCH_NN_SERIALIZE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -30,6 +32,15 @@ Result<Mlp> LoadMlpFile(const std::string& path);
 /// parameters with a single contiguous read/write.
 Status SaveCompiledMlp(const CompiledMlp& plan, std::ostream* out);
 Result<CompiledMlp> LoadCompiledMlp(std::istream* in);
+
+/// \brief Guard for loaders reading a length field: IOError naming `what`
+/// when the stream provably holds fewer than count * elem_bytes bytes past
+/// its read position, so a hostile count fails before anything is
+/// allocated. Seekable streams (ifstream, istringstream) report the bytes
+/// left; for a stream that cannot, this returns OK and the subsequent read
+/// reports the truncation. The read position is left unchanged.
+Status CheckStreamHolds(std::istream* in, uint64_t count, size_t elem_bytes,
+                        const char* what);
 
 /// \brief Exact number of bytes SaveMlp/SaveCompiledMlp writes for a model
 /// with this architecture, header included. Lets size accounting

@@ -167,30 +167,9 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
     // Validation gate: the retrained sketch must answer the probe set
     // within the drift policy bound on the SAME merged truth, or it never
     // reaches the store (the out-of-bound fault-injection path).
-    DriftReport post = target.monitor.CheckAgainst(fresh, truth);
+    const DriftReport post = target.monitor.CheckAgainst(fresh, truth);
     out.post_mae = post.normalized_mae;
     out.retrained = true;
-    // Tier re-validation: RetrainLeaves fixes the f64 parameters, but a
-    // surviving narrow tier (int8 especially) still serves through
-    // calibration scales captured on the PRE-drift distribution. If the
-    // narrow tier is what pushed the probe out of bound, demote it —
-    // int8 -> f32 -> f64 — re-validating at each step, rather than
-    // discarding a refresh whose f64 reference is fine.
-    while (post.normalized_mae > target.monitor.policy().max_normalized_mae &&
-           fresh.plan_precision() != PlanPrecision::kF64) {
-      const PlanPrecision was = fresh.plan_precision();
-      const PlanPrecision next =
-          (was == PlanPrecision::kInt8 && fresh.has_f32_plans())
-              ? PlanPrecision::kF32
-              : PlanPrecision::kF64;
-      Status demote = fresh.EnsureTier(next);
-      if (demote.ok()) demote = fresh.SelectPrecision(next);
-      if (!demote.ok()) break;  // can't demote further; gate decides below
-      fresh.ReleaseTier(was);   // stale-calibrated plans must not linger
-      ++out.tier_fallbacks;
-      post = target.monitor.CheckAgainst(fresh, truth);
-      out.post_mae = post.normalized_mae;
-    }
     if (post.normalized_mae > target.monitor.policy().max_normalized_mae) {
       ok = false;
       fail_msg = "retrained sketch out of bound (normalized_mae " +
@@ -229,7 +208,6 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
 
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.runs;
-  stats_.tier_fallbacks += out.tier_fallbacks;
   if (ok) {
     ++stats_.swaps;
     stats_.retrained_leaves += out.retrained_leaves;
@@ -382,9 +360,6 @@ void RefreshController::ExportMetrics(metrics::MetricsRegistry* registry,
                        "Stores demoted after a refresh-failure streak");
   registry->SetCounter(prefix + "refresh_skipped_total", s.skipped,
                        "Passes where the drift probe was within bound");
-  registry->SetCounter(
-      prefix + "refresh_tier_fallbacks_total", s.tier_fallbacks,
-      "Validation-driven serving-tier demotions (stale narrow calibration)");
   registry->SetCounter(
       prefix + "refresh_compactions_total", s.compactions,
       "Threshold-triggered delta compactions that folded rows into base");

@@ -75,10 +75,6 @@ struct RefreshOutcome {
   bool failed = false;       ///< retrain threw or validated out of bound
   bool demoted = false;      ///< this failure crossed the demotion streak
   size_t retrained_leaves = 0;
-  /// Times the post-retrain validation demoted the serving tier
-  /// (int8 -> f32 -> f64) because the surviving narrow tier was out of
-  /// bound on the drifted data (stale calibration).
-  size_t tier_fallbacks = 0;
   std::vector<int> stale_leaves;  ///< what the probe flagged
   double pre_mae = 0.0;      ///< probe normalized MAE before retrain
   double post_mae = 0.0;     ///< after retrain (== pre when not retrained)
@@ -93,7 +89,6 @@ struct RefreshStats {
   uint64_t failures = 0;          ///< refreshes discarded (throw / bound)
   uint64_t demotions = 0;         ///< stores demoted by failure streaks
   uint64_t skipped = 0;           ///< passes where drift was in bound
-  uint64_t tier_fallbacks = 0;    ///< validation-driven tier demotions
   uint64_t compactions = 0;       ///< threshold-triggered Compact calls that
                                   ///< folded rows
   uint64_t compaction_folded_rows = 0;  ///< rows those folds moved into base

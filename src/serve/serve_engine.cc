@@ -326,13 +326,10 @@ double ServeEngine::Fulfill(Shard* shard, Request* r, double value,
     shard->sketch_answers.fetch_add(1, std::memory_order_relaxed);
     sc->sketch_answers.fetch_add(1, std::memory_order_relaxed);
     // Ticked together with sketch_answers (and before the promise
-    // resolves) so the per-tier counters are always a consistent subset.
+    // resolves) so the f32 counter is always a consistent subset.
     if (tier == PlanPrecision::kF32) {
       shard->f32_sketch_answers.fetch_add(1, std::memory_order_relaxed);
       sc->f32_sketch_answers.fetch_add(1, std::memory_order_relaxed);
-    } else if (tier == PlanPrecision::kInt8) {
-      shard->int8_sketch_answers.fetch_add(1, std::memory_order_relaxed);
-      sc->int8_sketch_answers.fetch_add(1, std::memory_order_relaxed);
     }
   } else if (std::isnan(value)) {
     shard->failed_answers.fetch_add(1, std::memory_order_relaxed);
@@ -680,8 +677,6 @@ ServeStats ServeEngine::Snapshot() const {
     s.sketch_answers += sd.sketch_answers;
     s.f32_sketch_answers +=
         sh.f32_sketch_answers.load(std::memory_order_relaxed);
-    s.int8_sketch_answers +=
-        sh.int8_sketch_answers.load(std::memory_order_relaxed);
     s.fallback_answers += sd.fallback_answers;
     s.failed_answers += sd.failed_answers;
     s.delta_corrected_answers +=
@@ -746,8 +741,6 @@ ServeStats ServeEngine::Snapshot() const {
     ss.sketch_answers = sc->sketch_answers.load(std::memory_order_relaxed);
     ss.f32_sketch_answers =
         sc->f32_sketch_answers.load(std::memory_order_relaxed);
-    ss.int8_sketch_answers =
-        sc->int8_sketch_answers.load(std::memory_order_relaxed);
     ss.fallback_answers = sc->fallback_answers.load(std::memory_order_relaxed);
     ss.failed_answers = sc->failed_answers.load(std::memory_order_relaxed);
     ss.delta_corrected_answers =
@@ -780,7 +773,6 @@ void ServeEngine::ResetStats() {
     sh.queries.store(0, std::memory_order_relaxed);
     sh.sketch_answers.store(0, std::memory_order_relaxed);
     sh.f32_sketch_answers.store(0, std::memory_order_relaxed);
-    sh.int8_sketch_answers.store(0, std::memory_order_relaxed);
     sh.fallback_answers.store(0, std::memory_order_relaxed);
     sh.failed_answers.store(0, std::memory_order_relaxed);
     sh.delta_corrected_answers.store(0, std::memory_order_relaxed);
@@ -799,7 +791,6 @@ void ServeEngine::ResetStats() {
       st.counters->queries.store(0, std::memory_order_relaxed);
       st.counters->sketch_answers.store(0, std::memory_order_relaxed);
       st.counters->f32_sketch_answers.store(0, std::memory_order_relaxed);
-      st.counters->int8_sketch_answers.store(0, std::memory_order_relaxed);
       st.counters->fallback_answers.store(0, std::memory_order_relaxed);
       st.counters->failed_answers.store(0, std::memory_order_relaxed);
       st.counters->delta_corrected_answers.store(0, std::memory_order_relaxed);
@@ -824,8 +815,6 @@ void ServeEngine::ExportMetrics(metrics::MetricsRegistry* registry,
                        "Answered by a sketch forward pass");
   registry->SetCounter(prefix + "f32_sketch_answers_total",
                        s.f32_sketch_answers);
-  registry->SetCounter(prefix + "int8_sketch_answers_total",
-                       s.int8_sketch_answers);
   registry->SetCounter(prefix + "fallback_answers_total", s.fallback_answers,
                        "Answered by the exact engine");
   registry->SetCounter(prefix + "failed_answers_total", s.failed_answers,

@@ -215,7 +215,6 @@ class ServeEngine {
     std::atomic<uint64_t> queries{0};
     std::atomic<uint64_t> sketch_answers{0};
     std::atomic<uint64_t> f32_sketch_answers{0};
-    std::atomic<uint64_t> int8_sketch_answers{0};
     std::atomic<uint64_t> fallback_answers{0};
     std::atomic<uint64_t> failed_answers{0};
     std::atomic<uint64_t> delta_corrected_answers{0};
@@ -259,7 +258,6 @@ class ServeEngine {
     std::atomic<uint64_t> queries{0};
     std::atomic<uint64_t> sketch_answers{0};
     std::atomic<uint64_t> f32_sketch_answers{0};
-    std::atomic<uint64_t> int8_sketch_answers{0};
     std::atomic<uint64_t> fallback_answers{0};
     std::atomic<uint64_t> failed_answers{0};
     std::atomic<uint64_t> delta_corrected_answers{0};

@@ -45,7 +45,6 @@ struct StoreStatsSnapshot {
   uint64_t queries = 0;          ///< answers delivered for this key
   uint64_t sketch_answers = 0;
   uint64_t f32_sketch_answers = 0;
-  uint64_t int8_sketch_answers = 0;
   uint64_t fallback_answers = 0;
   uint64_t failed_answers = 0;
   /// Streaming composition counters: sketch answers adjusted with an
@@ -96,12 +95,9 @@ struct ShardStatsSnapshot {
 struct ServeStats {
   uint64_t queries = 0;          ///< answers delivered
   uint64_t sketch_answers = 0;   ///< answered by a sketch forward pass
-  /// Subsets of sketch_answers by the sketch's active tier at answer
-  /// time. Note: an int8 sketch serves its rare uncalibrated leaves from
-  /// their f64 plan, but those answers still count under the active tier
-  /// here — the counters attribute traffic per sketch, not per kernel.
+  /// Subset of sketch_answers served by a sketch whose active tier was
+  /// f32 at answer time.
   uint64_t f32_sketch_answers = 0;
-  uint64_t int8_sketch_answers = 0;
   uint64_t fallback_answers = 0; ///< answered by the exact engine
   uint64_t failed_answers = 0;   ///< NaN with no fallback available
   /// Sketch answers composed with an exact correction over unfolded

@@ -162,48 +162,6 @@ void FusedDenseKernelF32(const float* x, size_t m, size_t k, const float* w,
   }
 }
 
-// Int8 tier kernels. The quantize step clamps before rounding so
-// out-of-calibration-range activations saturate at +/-127; NaN compares
-// false against both bounds and lands on the +127 clamp, keeping the
-// output finite and deterministic. The GEMM accumulates in int32 —
-// worst-case |acc| is 127*127*k, which stays far inside int32 for any
-// realistic layer width — so every SIMD clone computes identical bits.
-NS_TARGET_CLONES
-void QuantizeI8Kernel(const float* x, size_t n, float inv_scale, int8_t* q) {
-  for (size_t i = 0; i < n; ++i) {
-    float v = x[i] * inv_scale;
-    v = v < 127.0f ? v : 127.0f;
-    v = v > -127.0f ? v : -127.0f;
-    // Round half away from zero via truncating casts: deterministic across
-    // ISAs, unlike nearbyint (rounding-mode dependent).
-    q[i] = static_cast<int8_t>(v >= 0.0f ? static_cast<int32_t>(v + 0.5f)
-                                         : static_cast<int32_t>(v - 0.5f));
-  }
-}
-
-NS_TARGET_CLONES
-void FusedDenseKernelI8(const int8_t* x, size_t m, size_t k, const int8_t* w,
-                        const float* b, const float* deq, Activation act,
-                        int32_t* acc, float* y, size_t n) {
-  for (size_t i = 0; i < m; ++i) {
-    const int8_t* xrow = x + i * k;
-    float* yrow = y + i * n;
-    for (size_t j = 0; j < n; ++j) acc[j] = 0;
-    for (size_t p = 0; p < k; ++p) {
-      const int32_t xv = xrow[p];
-      if (xv == 0) continue;
-      const int8_t* wrow = w + p * n;
-      for (size_t j = 0; j < n; ++j) {
-        acc[j] += xv * static_cast<int32_t>(wrow[j]);
-      }
-    }
-    for (size_t j = 0; j < n; ++j) {
-      yrow[j] = static_cast<float>(acc[j]) * deq[j];
-    }
-    FusedEpilogueF32(yrow, b, n, act);
-  }
-}
-
 }  // namespace
 
 Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
@@ -283,17 +241,6 @@ void FusedDenseForward(const double* x, size_t m, size_t k, const double* w,
 void FusedDenseForwardF32(const float* x, size_t m, size_t k, const float* w,
                           const float* b, Activation act, float* y, size_t n) {
   FusedDenseKernelF32(x, m, k, w, b, act, y, n);
-}
-
-void QuantizeSymmetricI8(const float* x, size_t n, float inv_scale,
-                         int8_t* q) {
-  QuantizeI8Kernel(x, n, inv_scale, q);
-}
-
-void FusedDenseForwardI8(const int8_t* x, size_t m, size_t k,
-                         const int8_t* w, const float* b, const float* deq,
-                         Activation act, int32_t* acc, float* y, size_t n) {
-  FusedDenseKernelI8(x, m, k, w, b, deq, act, acc, y, n);
 }
 
 void ColumnSums(const Matrix& m, Matrix* out) {

@@ -112,30 +112,6 @@ void FusedDenseForward(const double* x, size_t m, size_t k, const double* w,
 void FusedDenseForwardF32(const float* x, size_t m, size_t k, const float* w,
                           const float* b, Activation act, float* y, size_t n);
 
-/// \brief Symmetric int8 quantization of a float activation row:
-/// q[i] = clamp(round(x[i] * inv_scale), -127, 127), rounding half away
-/// from zero. inv_scale is 127 / calibrated-absmax (0 for a zero-range
-/// layer, which quantizes everything to 0). Values beyond the calibrated
-/// range saturate at +/-127 — out-of-range serve-time activations clamp
-/// instead of wrapping. Deterministic across ISAs (elementwise, no
-/// rounding-mode dependence).
-void QuantizeSymmetricI8(const float* x, size_t n, float inv_scale,
-                         int8_t* q);
-
-/// \brief Quantized clone of the fused dense forward for the opt-in int8
-/// compiled-plan tier: int8 inputs x (m,k) against int8 weights w (k,n),
-/// accumulated exactly in int32 (integer accumulation is associative, so
-/// results are bit-identical across SIMD widths by construction), then
-/// requantized to f32 per output unit — y[j] = act(acc[j] * deq[j] + b[j])
-/// — where deq[j] folds the activation scale and column j's weight scale
-/// into one multiplier. `acc` is caller-owned int32 scratch of n (the
-/// zero-allocation contract: every buffer is owned by the caller). The
-/// caller (core/NeuroSketch) validates the int8 tier against the f64
-/// reference and falls back when divergence exceeds its error bound.
-void FusedDenseForwardI8(const int8_t* x, size_t m, size_t k,
-                         const int8_t* w, const float* b, const float* deq,
-                         Activation act, int32_t* acc, float* y, size_t n);
-
 }  // namespace neurosketch
 
 #endif  // NEUROSKETCH_TENSOR_MATRIX_H_

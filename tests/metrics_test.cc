@@ -272,13 +272,13 @@ TEST(SlowQueryRingTest, TraceFieldsSurviveIntact) {
   t.inference_us = 100.0;
   t.fulfill_us = 50.0;
   t.store = "taxi/avg(col 2)";
-  t.tier = "int8";
+  t.tier = "f32";
   t.batch_size = 64;
   EXPECT_TRUE(ring.Offer(t));
   const auto kept = ring.SlowestFirst();
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_EQ(kept[0].store, "taxi/avg(col 2)");
-  EXPECT_EQ(kept[0].tier, "int8");
+  EXPECT_EQ(kept[0].tier, "f32");
   EXPECT_EQ(kept[0].batch_size, 64u);
   EXPECT_DOUBLE_EQ(kept[0].queue_us + kept[0].assembly_us +
                        kept[0].inference_us + kept[0].fulfill_us,

@@ -1,22 +1,28 @@
-// Tests for the opt-in narrow compiled-plan tiers (f32 and int8):
-// activation under the error bound, automatic fallback chaining
-// (int8 -> f32 -> f64) when bounds are blown, bitwise f64 golden behavior
-// at the default precision, precision + calibration surviving
-// serialization, tier switching, serialized-size accounting (SizeBytes()
-// == bytes Save() writes), and int8 calibration edge cases (zero-range
-// layers, saturating outliers).
+// Tests for the opt-in f32 compiled-plan tier: activation under the
+// error bound, automatic fallback to f64 when the bound is blown, bitwise
+// f64 golden behavior at the default precision, precision surviving
+// serialization, tier switching, and serialized-size accounting
+// (SizeBytes() == bytes Save() writes). Also covers the sketch image
+// loader: images in the older format that carried an int8 tier (trailer
+// bits 2-3 plus a calibration block) still load, and hostile length
+// fields fail with a Status instead of aborting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/neurosketch.h"
 #include "data/generators.h"
 #include "nn/inference_plan.h"
 #include "nn/mlp.h"
+#include "nn/serialize.h"
 #include "query/predicate.h"
 #include "serve/sketch_store.h"
 #include "util/random.h"
@@ -121,8 +127,8 @@ TEST(PrecisionTest, BlownErrorBoundFallsBackToF64) {
 }
 
 TEST(PrecisionTest, DefaultPrecisionIsBitwiseGolden) {
-  if (ForceF32PlansFromEnv() || ForceInt8PlansFromEnv()) {
-    GTEST_SKIP() << "NEUROSKETCH_FORCE_*_PLANS upgrades the default tier";
+  if (ForceF32PlansFromEnv()) {
+    GTEST_SKIP() << "NEUROSKETCH_FORCE_F32_PLANS upgrades the default tier";
   }
   Bench b = MakeBench(93);
   auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
@@ -225,8 +231,7 @@ TEST(PrecisionTest, InactiveF32TierSurvivesSaveLoad) {
 }
 
 TEST(PrecisionTest, SizeBytesMatchesSaveOutputExactly) {
-  for (PlanPrecision p :
-       {PlanPrecision::kF64, PlanPrecision::kF32, PlanPrecision::kInt8}) {
+  for (PlanPrecision p : {PlanPrecision::kF64, PlanPrecision::kF32}) {
     Bench b = MakeBench(97);
     b.cfg.plan_precision = p;
     auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
@@ -237,285 +242,6 @@ TEST(PrecisionTest, SizeBytesMatchesSaveOutputExactly) {
         << "precision " << PlanPrecisionName(sketch.value().plan_precision());
     std::remove(path.c_str());
   }
-}
-
-// ---------------------------------------------------------------- int8
-
-TEST(PrecisionTest, Int8ActivatesWithinBoundAndShrinksFootprint) {
-  Bench b = MakeBench(81);
-  b.cfg.plan_precision = PlanPrecision::kInt8;
-  auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
-  ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
-  const NeuroSketch& ns = sketch.value();
-
-  ASSERT_EQ(ns.plan_precision(), PlanPrecision::kInt8)
-      << "int8 tier should activate under the default bound (measured "
-      << ns.int8_max_divergence() << ")";
-  EXPECT_TRUE(ns.has_int8_plans());
-  EXPECT_GT(ns.int8_max_divergence(), 0.0);
-  EXPECT_LE(ns.int8_max_divergence(), ns.int8_error_bound());
-  // The headline footprint claim: the int8 tier's resident plan bytes are
-  // at most a quarter of the f64 tier's (int8 weights are 1/8; the f32
-  // bias/dequant epilogue and calibration record eat some of that back).
-  EXPECT_LE(ns.PlanBytes(PlanPrecision::kInt8),
-            ns.PlanBytes(PlanPrecision::kF64) / 4);
-
-  // Every batch surface serves the same int8 bits as single-query Answer,
-  // and all stay within the standardized bound of the f64 reference.
-  const auto serial = ns.AnswerBatch(b.probes);
-  const auto vectorized = ns.AnswerBatchVectorized(b.probes);
-  double max_abs = 0.0;
-  for (const auto& q : b.probes) {
-    max_abs = std::max(max_abs, std::fabs(ns.AnswerScalar(q)));
-  }
-  const double tol = ns.int8_error_bound() * (1.0 + max_abs);
-  for (size_t i = 0; i < b.probes.size(); ++i) {
-    const double int8_answer = ns.Answer(b.probes[i]);
-    const double f64_answer = ns.AnswerScalar(b.probes[i]);
-    EXPECT_EQ(int8_answer, serial[i]) << "probe " << i;
-    EXPECT_EQ(int8_answer, vectorized[i]) << "probe " << i;
-    EXPECT_NEAR(int8_answer, f64_answer, tol) << "probe " << i;
-  }
-}
-
-TEST(PrecisionTest, Int8BlownBoundChainsToF32ThenF64) {
-  {
-    // Int8 bound blown, f32 bound fine: the chain lands on f32.
-    Bench b = MakeBench(82);
-    b.cfg.plan_precision = PlanPrecision::kInt8;
-    b.cfg.int8_error_bound = 0.0;  // nothing passes: force the demotion
-    auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
-    ASSERT_TRUE(sketch.ok());
-    EXPECT_EQ(sketch.value().plan_precision(), PlanPrecision::kF32);
-    EXPECT_FALSE(sketch.value().has_int8_plans());
-    EXPECT_TRUE(sketch.value().has_f32_plans());
-    EXPECT_GT(sketch.value().int8_max_divergence(), 0.0);  // measured
-  }
-  {
-    // Both narrow bounds blown: the chain bottoms out on the f64 golden
-    // reference, bit-identical to the scalar path.
-    Bench b = MakeBench(82);
-    b.cfg.plan_precision = PlanPrecision::kInt8;
-    b.cfg.int8_error_bound = 0.0;
-    b.cfg.f32_error_bound = 0.0;
-    auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
-    ASSERT_TRUE(sketch.ok());
-    const NeuroSketch& ns = sketch.value();
-    EXPECT_EQ(ns.plan_precision(), PlanPrecision::kF64);
-    EXPECT_FALSE(ns.has_int8_plans());
-    EXPECT_FALSE(ns.has_f32_plans());
-    for (const auto& q : b.probes) {
-      EXPECT_EQ(ns.Answer(q), ns.AnswerScalar(q));
-    }
-  }
-}
-
-TEST(PrecisionTest, EnableInt8RefusesEmptyValidation) {
-  Bench b = MakeBench(83);
-  auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
-  ASSERT_TRUE(sketch.ok());
-  // No calibration coverage at all -> int8 must not activate. A non-int8
-  // serving tier (f64, or the tier a forced CI matrix trained) is left
-  // untouched; a previously active int8 tier is dropped rather than kept
-  // serving bits the failed re-validation no longer vouches for.
-  const PlanPrecision before = sketch.value().plan_precision();
-  EXPECT_FALSE(sketch.value().EnableInt8(
-      {}, NeuroSketchConfig().int8_error_bound));
-  EXPECT_NE(sketch.value().plan_precision(), PlanPrecision::kInt8);
-  if (before != PlanPrecision::kInt8) {
-    EXPECT_EQ(sketch.value().plan_precision(), before);
-  }
-  EXPECT_FALSE(sketch.value().has_int8_plans());
-}
-
-// A layer whose input is identically zero (dead first layer) has a
-// zero-range calibration: its activations quantize to all zeros and the
-// layer degenerates to act(bias), matching the f64 reference up to the
-// f32 bias cast.
-TEST(PrecisionTest, Int8ZeroRangeLayerDegeneratesToBias) {
-  nn::MlpConfig cfg;
-  cfg.in_dim = 3;
-  cfg.hidden = {8, 4};
-  nn::Mlp model(cfg, 7);
-  // Kill layer 0: zero weights and bias -> its ReLU output is exactly 0,
-  // so layer 1 calibrates a zero range.
-  model.layers()[0].weight().Zero();
-  model.layers()[0].bias().Zero();
-  nn::CompiledMlp plan = nn::CompiledMlp::FromMlp(model);
-
-  nn::Workspace ws;
-  std::vector<double> absmax(plan.layers().size(), 0.0);
-  Rng rng(19);
-  std::vector<std::vector<double>> calib;
-  for (int i = 0; i < 32; ++i) {
-    std::vector<double> x(3);
-    for (double& v : x) v = rng.Uniform(-1.0, 1.0);
-    plan.CalibrateOne(x.data(), &ws, absmax.data());
-    calib.push_back(std::move(x));
-  }
-  ASSERT_GT(absmax[0], 0.0);
-  EXPECT_EQ(absmax[1], 0.0) << "dead layer must calibrate a zero range";
-
-  nn::CompiledMlpI8 i8 = nn::CompiledMlpI8::FromPlan(plan, absmax);
-  for (const auto& x : calib) {
-    const double got = i8.PredictOne(x.data(), &ws);
-    const double want = plan.PredictOne(x.data(), &ws);
-    EXPECT_TRUE(std::isfinite(got));
-    // Everything downstream of the dead layer is a bias chain; the only
-    // divergence left is the f64 -> f32 bias narrowing.
-    EXPECT_NEAR(got, want, 1e-5);
-  }
-}
-
-// Serve-time activations beyond the calibrated range saturate at the
-// +/-127 quantization boundary instead of wrapping: an outlier input
-// answers exactly what the boundary input answers.
-TEST(PrecisionTest, Int8SaturatingOutliersClampAtCalibrationBoundary) {
-  nn::MlpConfig cfg;
-  cfg.in_dim = 1;
-  cfg.hidden = {};  // single linear output layer
-  nn::Mlp model(cfg, 3);
-  nn::CompiledMlp plan = nn::CompiledMlp::FromMlp(model);
-
-  nn::Workspace ws;
-  std::vector<double> absmax(plan.layers().size(), 0.0);
-  for (double x : {-1.0, 0.25, 1.0}) {
-    plan.CalibrateOne(&x, &ws, absmax.data());
-  }
-  ASSERT_EQ(absmax[0], 1.0);
-
-  nn::CompiledMlpI8 i8 = nn::CompiledMlpI8::FromPlan(plan, absmax);
-  const double boundary = 1.0, outlier = 10.0, far_outlier = 1e6;
-  const double at_boundary = i8.PredictOne(&boundary, &ws);
-  EXPECT_TRUE(std::isfinite(at_boundary));
-  EXPECT_EQ(i8.PredictOne(&outlier, &ws), at_boundary);
-  EXPECT_EQ(i8.PredictOne(&far_outlier, &ws), at_boundary);
-  const double neg = -5.0;
-  const double neg_boundary = -1.0;
-  EXPECT_EQ(i8.PredictOne(&neg, &ws), i8.PredictOne(&neg_boundary, &ws));
-}
-
-// Pins the current *signed* symmetric activation-quantization scheme
-// (127 levels per side, step = absmax/127) — including for ReLU layers
-// whose activations are non-negative and would fit an unsigned 0..255
-// grid with half the step (the deferred ROADMAP item: unsigned ReLU
-// activation quantization would roughly halve measured divergence at the
-// same width). If that scheme lands, this test is the one that must
-// change: the pinned step below halves, and the zero-range / saturating
-// behavior must be re-pinned under the new grid (today those edges are
-// covered by Int8ZeroRangeLayerDegeneratesToBias and
-// Int8SaturatingOutliersClampAtCalibrationBoundary, both of which are
-// grid-agnostic on the negative side only for signed grids).
-TEST(PrecisionTest, Int8ActivationQuantizationPinnedToSignedGrid) {
-  // Identity network: 1 input, single linear layer, weight 1, bias 0.
-  // With absmax = 127 the activation multiplier is exactly 127/127 = 1,
-  // so PredictOne(x) == round(x) exposes the quantization grid directly.
-  nn::MlpConfig cfg;
-  cfg.in_dim = 1;
-  cfg.hidden = {};
-  nn::Mlp model(cfg, 5);
-  model.layers()[0].weight()(0, 0) = 1.0;
-  model.layers()[0].bias()(0, 0) = 0.0;
-  nn::CompiledMlp plan = nn::CompiledMlp::FromMlp(model);
-  nn::CompiledMlpI8 i8 = nn::CompiledMlpI8::FromPlan(plan, {127.0});
-
-  nn::Workspace ws;
-  // Signed grid: step = absmax/127 = 1.0, symmetric about zero. An
-  // unsigned 0..255 grid for the same range would have step 127/255 and
-  // these expectations would fail (e.g. 2.4 would quantize near 2.49; the
-  // 1e-4 tolerance absorbs only the f32 dequant-multiplier rounding, not
-  // a grid change).
-  const struct { double in, out; } pinned[] = {
-      {0.0, 0.0},  {0.4, 0.0},  {0.6, 1.0},  {2.4, 2.0},   {2.6, 3.0},
-      {-0.4, 0.0}, {-0.6, -1.0}, {-2.6, -3.0}, {126.4, 126.0},
-  };
-  for (const auto& c : pinned) {
-    EXPECT_NEAR(i8.PredictOne(&c.in, &ws), c.out, 1e-4) << "input " << c.in;
-  }
-  // The worst-case rounding error of the signed grid is half a step,
-  // absmax/254 — twice what the deferred unsigned scheme would measure on
-  // non-negative (ReLU-range) inputs. Pin it from above *and* below so a
-  // silent scheme change in either direction trips here.
-  double max_err = 0.0;
-  for (double x = 0.0; x <= 127.0; x += 0.01) {
-    max_err = std::max(max_err, std::fabs(i8.PredictOne(&x, &ws) - x));
-  }
-  EXPECT_NEAR(max_err, 127.0 / 254.0, 1e-2);
-  EXPECT_GT(max_err, 127.0 / 510.0) << "unsigned-grid error bound reached: "
-                                       "re-pin this test to the new scheme";
-}
-
-TEST(PrecisionTest, Int8PrecisionAndCalibrationSurviveSaveLoad) {
-  Bench b = MakeBench(84);
-  b.cfg.plan_precision = PlanPrecision::kInt8;
-  auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
-  ASSERT_TRUE(sketch.ok());
-  ASSERT_EQ(sketch.value().plan_precision(), PlanPrecision::kInt8);
-
-  const std::string path = testing::TempDir() + "/ns_int8_roundtrip.bin";
-  ASSERT_TRUE(sketch.value().Save(path).ok());
-  auto loaded = NeuroSketch::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  std::remove(path.c_str());
-
-  EXPECT_EQ(loaded.value().plan_precision(), PlanPrecision::kInt8);
-  EXPECT_TRUE(loaded.value().has_int8_plans());
-  EXPECT_EQ(loaded.value().int8_max_divergence(),
-            sketch.value().int8_max_divergence());
-  EXPECT_EQ(loaded.value().int8_error_bound(),
-            sketch.value().int8_error_bound());
-  for (const auto& q : b.probes) {
-    // Re-quantizing the saved f64 parameters with the saved calibration
-    // scales is deterministic: the loaded sketch serves the exact same
-    // int8 bits, and the f64 reference is untouched.
-    EXPECT_EQ(loaded.value().Answer(q), sketch.value().Answer(q));
-    EXPECT_EQ(loaded.value().AnswerScalar(q), sketch.value().AnswerScalar(q));
-  }
-}
-
-TEST(PrecisionTest, InactiveInt8TierSurvivesSaveLoad) {
-  Bench b = MakeBench(85);
-  b.cfg.plan_precision = PlanPrecision::kInt8;
-  auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
-  ASSERT_TRUE(sketch.ok());
-  NeuroSketch& ns = sketch.value();
-  ASSERT_EQ(ns.plan_precision(), PlanPrecision::kInt8);
-  const double int8_answer = ns.Answer(b.probes[0]);
-
-  // Serve the reference tier for a while, then Save: the validated int8
-  // plans (and their calibration) must survive the round-trip.
-  ASSERT_TRUE(ns.SelectPrecision(PlanPrecision::kF64).ok());
-  const std::string path = testing::TempDir() + "/ns_inactive_int8.bin";
-  ASSERT_TRUE(ns.Save(path).ok());
-  auto loaded = NeuroSketch::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  std::remove(path.c_str());
-
-  EXPECT_EQ(loaded.value().plan_precision(), PlanPrecision::kF64);
-  EXPECT_TRUE(loaded.value().has_int8_plans());
-  EXPECT_EQ(loaded.value().Answer(b.probes[0]),
-            loaded.value().AnswerScalar(b.probes[0]));
-  ASSERT_TRUE(loaded.value().SelectPrecision(PlanPrecision::kInt8).ok());
-  EXPECT_EQ(loaded.value().Answer(b.probes[0]), int8_answer);
-}
-
-TEST(PrecisionTest, StoreListingReportsInt8Precision) {
-  Bench b = MakeBench(86);
-  b.cfg.plan_precision = PlanPrecision::kInt8;
-  auto sketch = NeuroSketch::Train(b.train_q, b.train_a, b.cfg);
-  ASSERT_TRUE(sketch.ok());
-  ASSERT_EQ(sketch.value().plan_precision(), PlanPrecision::kInt8);
-
-  QueryFunctionSpec spec;
-  spec.predicate = AxisRangePredicate::Make();
-  spec.agg = Aggregate::kCount;
-  spec.measure_col = 0;
-  serve::SketchStore store;
-  ASSERT_TRUE(store.Register("uni", spec, std::move(sketch).value()).ok());
-  const auto listings = store.List();
-  ASSERT_EQ(listings.size(), 1u);
-  EXPECT_EQ(listings[0].precision, PlanPrecision::kInt8);
-  EXPECT_TRUE(listings[0].compiled);
 }
 
 TEST(PrecisionTest, StoreListingReportsPrecision) {
@@ -535,6 +261,245 @@ TEST(PrecisionTest, StoreListingReportsPrecision) {
   ASSERT_EQ(listings.size(), 1u);
   EXPECT_EQ(listings[0].precision, PlanPrecision::kF32);
   EXPECT_TRUE(listings[0].compiled);
+}
+
+
+// ------------------------------------------------------ sketch image format
+
+std::string SaveToString(const NeuroSketch& ns) {
+  std::ostringstream out;
+  EXPECT_TRUE(ns.SaveTo(&out).ok());
+  return out.str();
+}
+
+Result<NeuroSketch> LoadFromString(const std::string& image) {
+  std::istringstream in(image);
+  return NeuroSketch::LoadFrom(&in);
+}
+
+template <typename T>
+T Peek(const std::string& image, size_t offset) {
+  T value{};
+  EXPECT_LE(offset + sizeof(T), image.size());
+  if (offset + sizeof(T) <= image.size()) {
+    std::memcpy(&value, image.data() + offset, sizeof(T));
+  }
+  return value;
+}
+
+template <typename T>
+void Poke(std::string* image, size_t offset, T value) {
+  ASSERT_LE(offset + sizeof(T), image->size());
+  std::memcpy(&(*image)[offset], &value, sizeof(T));
+}
+
+template <typename T>
+void Append(std::string* image, T value) {
+  image->append(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+// Every image ends with the precision trailer: magic, precision word,
+// f32 bound, f32 measured divergence.
+size_t PrecisionWordOffset(const std::string& image) {
+  return image.size() - 2 * sizeof(double) - sizeof(uint32_t);
+}
+
+// Layers per leaf model for a Bench config (hidden layers + output).
+size_t LeafLayers(const NeuroSketch& ns, const NeuroSketchConfig& cfg) {
+  return nn::MlpConfig::Paper(ns.query_dim(), cfg.n_layers, cfg.l_first,
+                              cfg.l_rest)
+             .hidden.size() +
+         1;
+}
+
+// `f64_image` rewritten in the layout sketches had while an int8 tier
+// existed: the precision word set to `bits` (bit 2 = int8 active, bit 3 =
+// int8 carried) and the int8 calibration block appended — the int8 bound
+// and measured divergence, then per leaf a layer count and that many
+// per-layer absmax doubles. Leaf 0 is written uncovered (0 layers), as
+// the old writer did for a leaf without calibration coverage.
+std::string LegacyInt8Image(const std::string& f64_image, uint32_t bits,
+                            size_t leaves, size_t layers) {
+  std::string image = f64_image;
+  Poke<uint32_t>(&image, PrecisionWordOffset(image), bits);
+  Append<double>(&image, 0.25);
+  Append<double>(&image, 0.0956);
+  for (size_t leaf = 0; leaf < leaves; ++leaf) {
+    const uint64_t nl = leaf == 0 ? 0 : layers;
+    Append<uint64_t>(&image, nl);
+    for (uint64_t l = 0; l < nl; ++l) Append<double>(&image, 0.5 + l);
+  }
+  return image;
+}
+
+// A trained sketch's f64 image plus its f64 and f32 reference answers.
+struct LegacyRig {
+  Bench b;
+  std::string f64_image;
+  std::vector<double> f64_ref, f32_ref;
+  size_t leaves = 0, layers = 0;
+
+  static LegacyRig Make(uint64_t seed) {
+    LegacyRig r;
+    r.b = MakeBench(seed);
+    auto trained = NeuroSketch::Train(r.b.train_q, r.b.train_a, r.b.cfg);
+    EXPECT_TRUE(trained.ok()) << trained.status().ToString();
+    NeuroSketch& ns = trained.value();
+    // Under NEUROSKETCH_FORCE_F32_PLANS the build serves f32; the image's
+    // precision word is rewritten below either way.
+    EXPECT_TRUE(ns.SelectPrecision(PlanPrecision::kF64).ok());
+    r.f64_image = SaveToString(ns);
+    r.f64_ref = ns.AnswerBatch(r.b.probes);
+    // Narrowing is deterministic, so these are the bits any sketch that
+    // rebuilds f32 from the same f64 parameters must serve.
+    EXPECT_TRUE(ns.EnableF32(r.b.train_q, /*error_bound=*/1.0));
+    r.f32_ref = ns.AnswerBatch(r.b.probes);
+    r.leaves = ns.num_partitions();
+    r.layers = LeafLayers(ns, r.b.cfg);
+    return r;
+  }
+};
+
+TEST(SketchImageTest, LegacyInt8TrailersLoadOntoF32OrF64) {
+  const LegacyRig r = LegacyRig::Make(87);
+  ASSERT_FALSE(r.f64_image.empty());
+  struct Case {
+    uint32_t bits;
+    PlanPrecision tier;
+    bool carries_f32;
+  };
+  const Case cases[] = {
+      {4u | 8u, PlanPrecision::kF64, false},       // int8 active, no f32
+      {2u | 4u | 8u, PlanPrecision::kF32, true},   // int8 active, f32 kept
+      {8u, PlanPrecision::kF64, false},            // int8 carried only
+      {1u | 4u | 8u, PlanPrecision::kF32, true},   // f32 active
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("trailer bits " + std::to_string(c.bits));
+    std::istringstream in(
+        LegacyInt8Image(r.f64_image, c.bits, r.leaves, r.layers));
+    auto loaded = NeuroSketch::LoadFrom(&in);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    // The calibration block is parsed to its end, not left in the stream.
+    EXPECT_EQ(in.peek(), std::char_traits<char>::eof());
+    const NeuroSketch& ns = loaded.value();
+    EXPECT_EQ(ns.plan_precision(), c.tier);
+    EXPECT_EQ(ns.has_f32_plans(), c.carries_f32);
+    EXPECT_EQ(ns.AnswerBatch(r.b.probes),
+              c.tier == PlanPrecision::kF32 ? r.f32_ref : r.f64_ref);
+
+    // Re-saving writes the current format: no int8 bits and no block, so
+    // the image is exactly as long as the f64 one and SizeBytes agrees.
+    const std::string resaved = SaveToString(ns);
+    EXPECT_EQ(ns.SizeBytes(), resaved.size());
+    EXPECT_EQ(resaved.size(), r.f64_image.size());
+    EXPECT_EQ(Peek<uint32_t>(resaved, PrecisionWordOffset(resaved)) & 12u,
+              0u);
+  }
+}
+
+TEST(SketchImageTest, LegacyInt8BlockIsStillValidated) {
+  const LegacyRig r = LegacyRig::Make(88);
+  ASSERT_GE(r.leaves, 2u);
+  const std::string legacy =
+      LegacyInt8Image(r.f64_image, 4u | 8u, r.leaves, r.layers);
+  const size_t block = legacy.size() - r.f64_image.size();
+
+  // Truncated anywhere inside the block (including no block at all after
+  // a trailer that announces one): IOError.
+  for (size_t cut : {size_t{1}, sizeof(double), block - 4, block}) {
+    SCOPED_TRACE("cut " + std::to_string(cut));
+    auto loaded = LoadFromString(legacy.substr(0, legacy.size() - cut));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError)
+        << loaded.status().ToString();
+  }
+
+  // A leaf layer count that does not match the model: InvalidArgument.
+  auto mismatched = LoadFromString(
+      LegacyInt8Image(r.f64_image, 4u | 8u, r.leaves, r.layers + 1));
+  ASSERT_FALSE(mismatched.ok());
+  EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
+
+  // Unknown precision bits above the old format's range stay rejected.
+  std::string unknown = r.f64_image;
+  Poke<uint32_t>(&unknown, PrecisionWordOffset(unknown), 16u);
+  auto rejected = LoadFromString(unknown);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Hostile length fields must fail as a Status before anything is sized
+// from them: no std::bad_alloc, no std::length_error.
+const uint64_t kHostileCounts[] = {uint64_t{1} << 40, uint64_t{1} << 60,
+                                   ~uint64_t{0}};
+
+void ExpectIOError(const Result<NeuroSketch>& loaded) {
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError)
+      << loaded.status().ToString();
+}
+
+TEST(SketchImageTest, HostileRoutingCountIsRejected) {
+  for (uint64_t rsize : kHostileCounts) {
+    SCOPED_TRACE(rsize);
+    std::string image;
+    Append<uint64_t>(&image, 2);  // qdim
+    Append<uint64_t>(&image, rsize);
+    image.resize(80, '\0');
+    ExpectIOError(LoadFromString(image));
+
+    // The file path reads through an ifstream: same guard.
+    const std::string path = testing::TempDir() + "/ns_hostile_rsize.bin";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(image.data(), static_cast<std::streamsize>(image.size()));
+    }
+    ExpectIOError(NeuroSketch::Load(path));
+    std::remove(path.c_str());
+  }
+}
+
+TEST(SketchImageTest, HostileModelCountIsRejected) {
+  const LegacyRig r = LegacyRig::Make(89);
+  const size_t nmodels_off =
+      2 * sizeof(uint64_t) + Peek<uint64_t>(r.f64_image, 8) * sizeof(double);
+  ASSERT_EQ(Peek<uint64_t>(r.f64_image, nmodels_off), r.leaves);
+  for (uint64_t nmodels : kHostileCounts) {
+    SCOPED_TRACE(nmodels);
+    std::string image = r.f64_image;
+    Poke<uint64_t>(&image, nmodels_off, nmodels);
+    ExpectIOError(LoadFromString(image));
+  }
+}
+
+TEST(SketchImageTest, HostileModelWidthsAreRejected) {
+  const LegacyRig r = LegacyRig::Make(86);
+  const size_t nmodels_off =
+      2 * sizeof(uint64_t) + Peek<uint64_t>(r.f64_image, 8) * sizeof(double);
+  // First model header: magic u32, version u32, in_dim u64, out_dim u64,
+  // activation u32, hidden count u64, then one u64 per hidden width.
+  const size_t model_off =
+      nmodels_off + sizeof(uint64_t) + 2 * r.leaves * sizeof(double);
+  const size_t in_dim_off = model_off + 2 * sizeof(uint32_t);
+  const size_t n_hidden_off = in_dim_off + 2 * sizeof(uint64_t) +
+                              sizeof(uint32_t);
+  const size_t width0_off = n_hidden_off + sizeof(uint64_t);
+  ASSERT_EQ(Peek<uint64_t>(r.f64_image, width0_off), r.b.cfg.l_first);
+  for (uint64_t count : kHostileCounts) {
+    for (size_t field : {width0_off, n_hidden_off, in_dim_off}) {
+      SCOPED_TRACE("field @" + std::to_string(field) + " = " +
+                   std::to_string(count));
+      std::string image = r.f64_image;
+      Poke<uint64_t>(&image, field, count);
+      ExpectIOError(LoadFromString(image));
+      // The standalone model loaders share the header parser.
+      std::istringstream model(image.substr(model_off));
+      auto mlp = nn::LoadMlp(&model);
+      ASSERT_FALSE(mlp.ok());
+      EXPECT_EQ(mlp.status().code(), StatusCode::kIOError);
+    }
+  }
 }
 
 }  // namespace

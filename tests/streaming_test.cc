@@ -3,8 +3,7 @@
 // delta composition against a from-scratch scan for every aggregate, the
 // RetrainLeaves bit-identity contract, leaf-granular drift attribution,
 // fault-injected refreshes (exception and out-of-bound validation), the
-// int8->f32->f64 tier chain during retrain, stale-calibration tier
-// demotion in the refresh validation gate, NaN-probe accounting in
+// f32 -> f64 tier fallback during retrain, NaN-probe accounting in
 // DriftMonitor, base-table compaction (StreamingTable swap atomicity, the
 // safe fold watermark, controller-triggered folds, bit-identity across a
 // compaction), and multi-thread serve+append+refresh+compact races (run
@@ -342,8 +341,8 @@ TEST(StreamingSketchPathTest, DecomposableCorrectedNonDecomposableExact) {
   EXPECT_EQ(stats.delta_exact_answers, exact_recomputed);
 }
 
-// Tier coverage: the composition contract holds regardless of the active
-// precision tier — the correction applies to whatever the tier answered.
+// Tier coverage: the composition contract holds on the f32 tier too — the
+// correction applies to whatever the tier answered.
 TEST(StreamingSketchPathTest, CompositionHoldsOnNarrowTiers) {
   Dataset ds = MakeGmmDataset(1200, 3, 3, /*seed=*/53);
   Table base = Normalizer::Fit(ds.table).Transform(ds.table);
@@ -357,43 +356,41 @@ TEST(StreamingSketchPathTest, CompositionHoldsOnNarrowTiers) {
   const auto train_q = gen.GenerateMany(400, &engine, &spec);
   const auto train_a = engine.AnswerBatch(spec, train_q);
 
-  for (PlanPrecision req : {PlanPrecision::kF32, PlanPrecision::kInt8}) {
-    NeuroSketchConfig cfg = SmallConfig();
-    cfg.plan_precision = req;
-    auto sk = NeuroSketch::Train(train_q, train_a, cfg);
-    ASSERT_TRUE(sk.ok()) << sk.status().ToString();
-    auto sp = std::make_shared<const NeuroSketch>(std::move(sk).value());
+  NeuroSketchConfig cfg = SmallConfig();
+  cfg.plan_precision = PlanPrecision::kF32;
+  auto sk = NeuroSketch::Train(train_q, train_a, cfg);
+  ASSERT_TRUE(sk.ok()) << sk.status().ToString();
+  auto sp = std::make_shared<const NeuroSketch>(std::move(sk).value());
 
-    SketchStore store;
-    ASSERT_TRUE(store.RegisterDataset("gmm", &engine).ok());
-    ASSERT_TRUE(store.Register("gmm", spec, sp).ok());
-    ASSERT_TRUE(store.EnableStreaming("gmm", base.num_columns()).ok());
-    std::vector<std::vector<double>> appended;
-    Rng rng(99);
-    for (int i = 0; i < 120; ++i) {
-      std::vector<double> row(base.num_columns());
-      for (size_t c = 0; c < base.num_columns(); ++c) {
-        row[c] = rng.Uniform(0.4, 0.6);
-      }
-      appended.push_back(std::move(row));
+  SketchStore store;
+  ASSERT_TRUE(store.RegisterDataset("gmm", &engine).ok());
+  ASSERT_TRUE(store.Register("gmm", spec, sp).ok());
+  ASSERT_TRUE(store.EnableStreaming("gmm", base.num_columns()).ok());
+  std::vector<std::vector<double>> appended;
+  Rng rng(99);
+  for (int i = 0; i < 120; ++i) {
+    std::vector<double> row(base.num_columns());
+    for (size_t c = 0; c < base.num_columns(); ++c) {
+      row[c] = rng.Uniform(0.4, 0.6);
     }
-    ASSERT_TRUE(store.AppendRows("gmm", appended).ok());
+    appended.push_back(std::move(row));
+  }
+  ASSERT_TRUE(store.AppendRows("gmm", appended).ok());
 
-    ServeOptions so;
-    so.num_shards = 1;
-    so.batch_window_us = 0.0;
-    ServeEngine serve(&store, so);
-    WorkloadConfig qc = wc;
-    qc.seed = 902;
-    WorkloadGenerator qgen(base.num_columns(), qc);
-    for (const auto& q : qgen.GenerateMany(20, &engine, &spec)) {
-      const ServeResult got = serve.Answer("gmm", spec, q);
-      EXPECT_TRUE(got.used_sketch);
-      EXPECT_EQ(got.value,
-                sp->Answer(q) + static_cast<double>(
-                                    MatchCount(appended, spec, q)))
-          << "tier=" << PlanPrecisionName(sp->plan_precision());
-    }
+  ServeOptions so;
+  so.num_shards = 1;
+  so.batch_window_us = 0.0;
+  ServeEngine serve(&store, so);
+  WorkloadConfig qc = wc;
+  qc.seed = 902;
+  WorkloadGenerator qgen(base.num_columns(), qc);
+  for (const auto& q : qgen.GenerateMany(20, &engine, &spec)) {
+    const ServeResult got = serve.Answer("gmm", spec, q);
+    EXPECT_TRUE(got.used_sketch);
+    EXPECT_EQ(got.value,
+              sp->Answer(q) + static_cast<double>(
+                                  MatchCount(appended, spec, q)))
+        << "tier=" << PlanPrecisionName(sp->plan_precision());
   }
 }
 
@@ -854,16 +851,16 @@ TEST(RefreshTest, OutOfBoundRetrainIsRejectedNotSwapped) {
   EXPECT_EQ(ctrl.Stats().swaps, 0u);
 }
 
-// The int8 -> f32 -> f64 validation chain during retrain: impossible
-// narrow-tier bounds must fall back down the chain, not fail the refresh.
+// The f32 -> f64 validation fallback during retrain: an impossible f32
+// bound must fall back to f64, not fail the refresh.
 TEST(RefreshTest, RetrainTierChainFallsBackWithoutFailing) {
   const DriftScenario* s = &DriftScenario::Shared();
   ASSERT_FALSE(s->drift_rows.empty());
 
-  // Rebuild the deployed sketch with an int8 request so it carries a
+  // Rebuild the deployed sketch with an f32 request so it carries the
   // narrow tier into the refresh.
   NeuroSketchConfig cfg = s->cfg;
-  cfg.plan_precision = PlanPrecision::kInt8;
+  cfg.plan_precision = PlanPrecision::kF32;
   auto trained = NeuroSketch::Train(
       s->train_q, s->engine->AnswerBatch(s->spec, s->train_q), cfg);
   ASSERT_TRUE(trained.ok()) << trained.status().ToString();
@@ -879,10 +876,9 @@ TEST(RefreshTest, RetrainTierChainFallsBackWithoutFailing) {
   ro.probe_threads = 0;  // hardware concurrency; batch results are thread-count invariant
   RefreshController ctrl(&store, nullptr, ro);
   RefreshTarget target = s->Target();
-  // Unachievable narrow-tier bounds: the retrain's re-validation must
-  // chain int8 -> f32 -> f64 and still swap successfully.
-  target.config.plan_precision = PlanPrecision::kInt8;
-  target.config.int8_error_bound = 0.0;
+  // Unachievable f32 bound: the retrain's re-validation must fall back
+  // to f64 and still swap successfully.
+  target.config.plan_precision = PlanPrecision::kF32;
   target.config.f32_error_bound = 0.0;
   ctrl.AddTarget(std::move(target));
 
@@ -894,7 +890,6 @@ TEST(RefreshTest, RetrainTierChainFallsBackWithoutFailing) {
   ASSERT_NE(view.sketch, nullptr);
   EXPECT_EQ(view.sketch->plan_precision(), PlanPrecision::kF64);
   EXPECT_FALSE(view.sketch->has_f32_plans());
-  EXPECT_FALSE(view.sketch->has_int8_plans());
 }
 
 // ---------------------------------------------------------------------
@@ -1261,7 +1256,9 @@ TEST_P(CompactionExactSweep, AnswersBitIdenticalAcrossCompaction) {
   for (const auto& q : queries) {
     const ServeResult got = serve.Answer("gmm", spec, q);
     const double want = merged2.Answer(spec, q);
-    if (!std::isnan(want)) EXPECT_EQ(got.value, want) << AggregateName(agg);
+    if (!std::isnan(want)) {
+      EXPECT_EQ(got.value, want) << AggregateName(agg);
+    }
   }
 }
 
@@ -1407,64 +1404,6 @@ TEST(CompactionTest, RefreshControllerSweepsAndCompactsByThreshold) {
 
   metrics::MetricsRegistry registry;
   ctrl.ExportMetrics(&registry);  // new counters export without crashing
-}
-
-// ---------------------------------------------------------------------
-// Satellite of the validation-gate fix: a refresh whose f64 retrain is
-// fine but whose surviving int8 tier serves through STALE calibration
-// must demote the tier (int8 -> f32 -> f64) inside the gate and swap,
-// not discard the refresh.
-
-TEST(RefreshTest, StaleInt8CalibrationDemotesTierInsteadOfFailing) {
-  const DriftScenario* s = &DriftScenario::Shared();
-  ASSERT_FALSE(s->drift_rows.empty());
-
-  NeuroSketchConfig cfg = s->cfg;
-  cfg.plan_precision = PlanPrecision::kInt8;
-  auto trained = NeuroSketch::Train(
-      s->train_q, s->engine->AnswerBatch(s->spec, s->train_q), cfg);
-  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
-  if (trained.value().plan_precision() != PlanPrecision::kInt8) {
-    GTEST_SKIP() << "int8 tier not active (forced-tier build or validation "
-                    "dropped it)";
-  }
-  auto sp = std::make_shared<const NeuroSketch>(std::move(trained).value());
-
-  SketchStore store;
-  ASSERT_TRUE(store.RegisterDataset("gmm", s->engine.get()).ok());
-  ASSERT_TRUE(store.Register("gmm", s->spec, sp).ok());
-  ASSERT_TRUE(store.EnableStreaming("gmm", s->base.num_columns()).ok());
-  ASSERT_TRUE(store.AppendRows("gmm", s->drift_rows).ok());
-
-  RefreshOptions ro;
-  ro.probe_threads = 0;
-  RefreshController ctrl(&store, nullptr, ro);
-  RefreshTarget target = s->Target();
-  target.config.plan_precision = PlanPrecision::kInt8;
-  ctrl.AddTarget(std::move(target));
-  // The hook models drifted-away calibration: scales captured on the old
-  // distribution, wildly wrong for the data the tier now serves. The f64
-  // parameters underneath are freshly retrained and in bound.
-  std::atomic<bool> rescaled{false};
-  ctrl.SetFaultHook([&rescaled](NeuroSketch* sk) {
-    rescaled.store(sk->RescaleInt8Calibration(1e4).ok());
-  });
-
-  auto res = ctrl.RefreshNow("gmm", s->spec);
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  if (!rescaled.load()) {
-    GTEST_SKIP() << "retrain re-validation dropped the int8 tier before the "
-                    "hook could stale it";
-  }
-  EXPECT_TRUE(res.value().swapped) << res.value().message;
-  EXPECT_FALSE(res.value().failed);
-  EXPECT_GE(res.value().tier_fallbacks, 1u);
-  EXPECT_LE(res.value().post_mae, s->policy.max_normalized_mae);
-  EXPECT_GE(ctrl.Stats().tier_fallbacks, 1u);
-
-  const auto view = store.LookupServed(ServeKey::From("gmm", s->spec));
-  ASSERT_NE(view.sketch, nullptr);
-  EXPECT_NE(view.sketch->plan_precision(), PlanPrecision::kInt8);
 }
 
 // ---------------------------------------------------------------------

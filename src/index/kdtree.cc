@@ -1,7 +1,9 @@
 #include "index/kdtree.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <string>
 
 #include "util/thread_pool.h"
 
@@ -205,31 +207,55 @@ Result<QuerySpaceKdTree> QuerySpaceKdTree::DecodeRouting(
   if (encoded.size() % 2 != 0 || encoded.empty()) {
     return Status::InvalidArgument("bad routing encoding length");
   }
-  size_t pos = 0;
-  std::function<std::unique_ptr<Node>()> parse =
-      [&]() -> std::unique_ptr<Node> {
-    if (pos + 1 >= encoded.size() + 1) return nullptr;
-    auto node = std::make_unique<Node>();
-    const double tag = encoded[pos];
-    const double val = encoded[pos + 1];
-    pos += 2;
-    if (tag < 0.0) {
-      node->leaf_id = static_cast<int>(val);
-      return node;
-    }
-    node->split_dim = static_cast<int>(tag);
-    node->split_val = val;
-    node->left = parse();
-    node->right = parse();
-    if (!node->left || !node->right) return nullptr;
-    node->left->parent = node.get();
-    node->right->parent = node.get();
-    return node;
+  // Routing bytes may come from an untrusted file, so every value Route
+  // later uses as an index is validated here, and the decode is iterative
+  // with a depth bound: the pre-order walk keeps an explicit stack of the
+  // child slots still to fill instead of recursing once per node.
+  const size_t num_nodes = encoded.size() / 2;
+  const double num_leaves = static_cast<double>((num_nodes + 1) / 2);
+  struct Slot {
+    std::unique_ptr<Node>* dst;
+    Node* parent;
+    size_t depth;
   };
   QuerySpaceKdTree tree;
   tree.query_dim_ = query_dim;
-  tree.root_ = parse();
-  if (tree.root_ == nullptr || pos != encoded.size()) {
+  std::vector<Slot> pending = {{&tree.root_, nullptr, 0}};
+  for (size_t pos = 0; pos < encoded.size(); pos += 2) {
+    if (pending.empty()) {
+      return Status::InvalidArgument("malformed routing encoding");
+    }
+    const Slot slot = pending.back();
+    pending.pop_back();
+    const double tag = encoded[pos];
+    const double val = encoded[pos + 1];
+    auto node = std::make_unique<Node>();
+    node->parent = slot.parent;
+    if (tag == -1.0) {
+      // Leaf ids index the per-leaf models: a whole number below the
+      // encoding's leaf count.
+      if (!(val >= 0.0 && val < num_leaves) || val != std::floor(val)) {
+        return Status::InvalidArgument("routing leaf id out of range");
+      }
+      node->leaf_id = static_cast<int>(val);
+    } else {
+      if (!(tag >= 0.0 && tag < static_cast<double>(query_dim)) ||
+          tag != std::floor(tag)) {
+        return Status::InvalidArgument("routing split dimension out of range");
+      }
+      if (slot.depth >= kMaxRoutingDepth) {
+        return Status::InvalidArgument("routing tree deeper than " +
+                                       std::to_string(kMaxRoutingDepth));
+      }
+      node->split_dim = static_cast<int>(tag);
+      node->split_val = val;
+      // Pre-order: the left subtree comes first, so its slot is on top.
+      pending.push_back({&node->right, node.get(), slot.depth + 1});
+      pending.push_back({&node->left, node.get(), slot.depth + 1});
+    }
+    *slot.dst = std::move(node);
+  }
+  if (!pending.empty()) {
     return Status::InvalidArgument("malformed routing encoding");
   }
   return tree;

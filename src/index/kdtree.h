@@ -69,8 +69,18 @@ class QuerySpaceKdTree {
   /// leaf ids) for sketch serialization. Pre-order; leaves encoded with
   /// split_dim = -1 and split_val = leaf_id.
   std::vector<double> EncodeRouting() const;
+  /// \brief Inverse of EncodeRouting, safe on untrusted bytes: rejects
+  /// (with InvalidArgument) a split_dim that is not a whole number below
+  /// `query_dim`, a leaf id that is not a whole number below the leaf
+  /// count, a tree deeper than kMaxRoutingDepth, and a truncated or
+  /// overlong encoding.
   static Result<QuerySpaceKdTree> DecodeRouting(
       const std::vector<double>& encoded, size_t query_dim);
+
+  /// \brief Deepest internal-node depth DecodeRouting accepts. Build
+  /// never exceeds its `height`, and the tree's other walks (destruction,
+  /// EncodeRouting, Leaves) recurse once per level.
+  static constexpr size_t kMaxRoutingDepth = 256;
 
  private:
   /// Split one node at `depth` (median along the cycled dimension); leaves

@@ -6,8 +6,8 @@
 namespace neurosketch {
 
 namespace {
-/// Gathers per-column base pointers once; the row-materialization loop is
-/// the hot path of training-set generation.
+/// Gathers per-column base pointers once; the row scan is the hot path of
+/// training-set generation.
 std::vector<const double*> ColumnPointers(const Table& t) {
   std::vector<const double*> cols(t.num_columns());
   for (size_t c = 0; c < t.num_columns(); ++c) cols[c] = t.column(c).data();
@@ -48,15 +48,19 @@ void ExactEngine::AccumulateOver(const Table& table,
                                  const QueryFunctionSpec& spec,
                                  const QueryInstance& q,
                                  AggregateAccumulator* acc) {
-  const size_t dim = table.num_columns();
-  const size_t n = table.num_rows();
+  const RangeScan scan(*spec.predicate, q, table.num_columns());
+  AccumulateOver(table, scan, spec.measure_col, acc);
+}
+
+void ExactEngine::AccumulateOver(const Table& table, const RangeScan& scan,
+                                 size_t measure_col,
+                                 AggregateAccumulator* acc) {
   const auto cols = ColumnPointers(table);
-  const double* measure = cols[spec.measure_col];
-  std::vector<double> row(dim);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t c = 0; c < dim; ++c) row[c] = cols[c][i];
-    if (spec.predicate->Matches(q, row.data(), dim)) acc->Add(measure[i]);
-  }
+  const double* measure = cols[measure_col];
+  scan.Run(ColumnRows{cols.data(), cols.size()}, table.num_rows(),
+           [&](size_t i, bool hit) {
+             if (hit) acc->Add(measure[i]);
+           });
 }
 
 void ExactEngine::Accumulate(const QueryFunctionSpec& spec,
@@ -70,15 +74,11 @@ size_t ExactEngine::CountMatches(const QueryFunctionSpec& spec,
                                  const QueryInstance& q) const {
   const PinnedBase pinned = Pin();
   const Table& t = *pinned.table;
-  const size_t dim = t.num_columns();
-  const size_t n = t.num_rows();
   const auto cols = ColumnPointers(t);
+  const RangeScan scan(*spec.predicate, q, t.num_columns());
   size_t matches = 0;
-  std::vector<double> row(dim);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t c = 0; c < dim; ++c) row[c] = cols[c][i];
-    if (spec.predicate->Matches(q, row.data(), dim)) ++matches;
-  }
+  scan.Run(ColumnRows{cols.data(), cols.size()}, t.num_rows(),
+           [&](size_t, bool hit) { matches += hit; });
   return matches;
 }
 

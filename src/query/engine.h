@@ -16,6 +16,7 @@
 #include "query/aggregate.h"
 #include "query/predicate.h"
 #include "query/query.h"
+#include "query/range_scan.h"
 
 namespace neurosketch {
 
@@ -74,6 +75,10 @@ class ExactEngine {
   static void AccumulateOver(const Table& table, const QueryFunctionSpec& spec,
                              const QueryInstance& q,
                              AggregateAccumulator* acc);
+  /// \brief The same scan with the predicate already compiled, so a
+  /// caller continuing over delta rows compiles each query once.
+  static void AccumulateOver(const Table& table, const RangeScan& scan,
+                             size_t measure_col, AggregateAccumulator* acc);
 
   /// \brief Number of rows matching the predicate.
   size_t CountMatches(const QueryFunctionSpec& spec,

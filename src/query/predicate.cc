@@ -28,6 +28,18 @@ bool AxisRangePredicate::Matches(const QueryInstance& q, const double* row,
   return true;
 }
 
+void AxisRangePredicate::CompileBounds(const QueryInstance& q,
+                                       size_t data_dim,
+                                       std::vector<AxisBound>* out) {
+  const double* c = q.q.data();
+  const double* r = q.q.data() + data_dim;
+  out->clear();
+  for (size_t i = 0; i < data_dim; ++i) {
+    if (c[i] == 0.0 && r[i] >= 1.0) continue;  // as in Matches
+    out->push_back(AxisBound{i, c[i], c[i] + r[i]});
+  }
+}
+
 void AxisRangePredicate::QueryBox(const QueryInstance& q, size_t data_dim,
                                   std::vector<double>* lo,
                                   std::vector<double>* hi) const {

@@ -38,14 +38,30 @@ class PredicateFunction {
   virtual std::string name() const = 0;
 };
 
+/// \brief One active attribute of a compiled axis-range query: a row
+/// value v fails the bound iff `v < lo || v >= hi` (so a NaN value, or a
+/// NaN bound, never fails it — exactly as AxisRangePredicate::Matches).
+struct AxisBound {
+  size_t col = 0;
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
 /// \brief The canonical WHERE clause of Sec. 2:
 /// c_i <= A_i < c_i + r_i for every attribute i.
 /// q = (c_1..c_d, r_1..r_d); an inactive attribute has (c,r) = (0,1).
-class AxisRangePredicate : public PredicateFunction {
+class AxisRangePredicate final : public PredicateFunction {
  public:
   size_t QueryDim(size_t data_dim) const override { return 2 * data_dim; }
   bool Matches(const QueryInstance& q, const double* row,
                size_t data_dim) const override;
+  /// \brief Non-virtual form of Matches for scans: the active attributes
+  /// of `q` as (column, c, c + r) bounds, in column order. Full-range
+  /// (0, >= 1) attributes are dropped exactly as Matches skips them, and
+  /// `hi` is the same double Matches computes per row, so a row matches
+  /// iff it fails none of the bounds.
+  static void CompileBounds(const QueryInstance& q, size_t data_dim,
+                            std::vector<AxisBound>* out);
   void QueryBox(const QueryInstance& q, size_t data_dim,
                 std::vector<double>* lo, std::vector<double>* hi) const override;
   std::string name() const override { return "axis_range"; }

@@ -19,6 +19,7 @@
 #ifndef NEUROSKETCH_SERVE_DELTA_BUFFER_H_
 #define NEUROSKETCH_SERVE_DELTA_BUFFER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -81,18 +82,32 @@ class DeltaBuffer {
     bool empty() const { return begin_ >= end_; }
     size_t num_columns() const { return num_columns_; }
 
+    /// \brief Visit logical rows [from, to) in order as contiguous
+    /// spans: `fn(rows, n)` gets n >= 1 consecutive rows, row-major, each
+    /// num_columns() doubles wide. A span never crosses a chunk boundary.
+    /// The range is clamped to [begin, end).
+    template <typename Fn>
+    void ForEachSpan(size_t from, size_t to, Fn&& fn) const {
+      if (from < begin_) from = begin_;
+      if (to > end_) to = end_;
+      if (from >= to) return;
+      size_t ci = (from - chunk_base_) / chunk_rows_;
+      size_t off = (from - chunk_base_) - ci * chunk_rows_;
+      for (size_t left = to - from; left > 0; ++ci, off = 0) {
+        const size_t n = std::min(chunk_rows_ - off, left);
+        fn(chunks_[ci]->data.data() + off * num_columns_, n);
+        left -= n;
+      }
+    }
+
     /// \brief Visit logical rows [from, to) in order; `fn(row)` gets a
     /// pointer to num_columns() doubles. The range is clamped to
     /// [begin, end).
     template <typename Fn>
     void ForEachRow(size_t from, size_t to, Fn&& fn) const {
-      if (from < begin_) from = begin_;
-      if (to > end_) to = end_;
-      for (size_t r = from; r < to; ++r) {
-        const size_t ci = (r - chunk_base_) / chunk_rows_;
-        const size_t off = (r - chunk_base_) % chunk_rows_;
-        fn(chunks_[ci]->data.data() + off * num_columns_);
-      }
+      ForEachSpan(from, to, [&](const double* rows, size_t n) {
+        for (size_t i = 0; i < n; ++i) fn(rows + i * num_columns_);
+      });
     }
 
    private:

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "query/range_scan.h"
+
 namespace neurosketch {
 namespace serve {
 
@@ -36,23 +38,68 @@ struct DeltaMatch {
   double max = 0.0;
 };
 
+/// COUNT/SUM/MIN/MAX statistics of delta rows [from, end); COUNT needs
+/// only `matched`. COUNT and SUM accumulate without branches: `sum`
+/// starts at +0.0 and can never become -0.0, and x + 0.0 == x for every
+/// other x, so adding 0.0 for a non-matching row (whatever its measure,
+/// NaN included) leaves exactly the in-order sum of the matching rows.
+/// MIN/MAX keep the first-match semantics (a NaN first match is sticky),
+/// so they stay branchy.
 DeltaMatch ScanDelta(const DeltaBuffer::Snapshot& snap, size_t from,
-                     const QueryFunctionSpec& spec, const QueryInstance& q) {
+                     const QueryFunctionSpec& spec, const RangeScan& scan) {
   DeltaMatch m;
   const size_t dim = snap.num_columns();
-  snap.ForEachRow(from, snap.end(), [&](const double* row) {
-    if (!spec.predicate->Matches(q, row, dim)) return;
-    const double v = row[spec.measure_col];
-    if (m.matched == 0) {
-      m.min = m.max = v;
-    } else {
-      if (v < m.min) m.min = v;
-      if (v > m.max) m.max = v;
+  const size_t mc = spec.measure_col;
+  snap.ForEachSpan(from, snap.end(), [&](const double* rows, size_t n) {
+    const RowMajorRows span{rows, dim};
+    // Locals, not m's fields: a store to m.sum could alias the row data
+    // and would pin every addition to memory.
+    size_t matched = m.matched;
+    switch (spec.agg) {
+      case Aggregate::kCount:
+        scan.Run(span, n, [&](size_t, bool hit) { matched += hit; });
+        break;
+      case Aggregate::kSum: {
+        double sum = m.sum;
+        scan.Run(span, n, [&](size_t i, bool hit) {
+          matched += hit;
+          sum += hit ? span.At(i, mc) : 0.0;
+        });
+        m.sum = sum;
+        break;
+      }
+      default:  // kMin / kMax
+        scan.Run(span, n, [&](size_t i, bool hit) {
+          if (!hit) return;
+          const double v = span.At(i, mc);
+          if (matched == 0) {
+            m.min = m.max = v;
+          } else {
+            if (v < m.min) m.min = v;
+            if (v > m.max) m.max = v;
+          }
+          ++matched;
+        });
+        break;
     }
-    ++m.matched;
-    m.sum += v;
+    m.matched = matched;
   });
   return m;
+}
+
+/// True iff any delta row in [from, end) matches; stops at the first.
+bool AnyDeltaMatch(const DeltaBuffer::Snapshot& snap, size_t from,
+                   const RangeScan& scan) {
+  bool found = false;
+  const size_t dim = snap.num_columns();
+  snap.ForEachSpan(from, snap.end(), [&](const double* rows, size_t n) {
+    if (found) return;
+    scan.Run(RowMajorRows{rows, dim}, n, [&](size_t, bool hit) {
+      found = hit;
+      return !hit;
+    });
+  });
+  return found;
 }
 
 /// True when appended rows fold into the base answer by a scalar
@@ -80,16 +127,20 @@ bool Decomposable(Aggregate agg) {
 /// pinning, so snap.begin() <= base.folded always holds and the pair
 /// covers the logical history exactly once.
 double ExactWithDelta(const ExactEngine::PinnedBase& base,
-                      const QueryFunctionSpec& spec, const QueryInstance& q,
+                      const QueryFunctionSpec& spec, const RangeScan& scan,
                       const DeltaBuffer::Snapshot& snap) {
   AggregateAccumulator acc(spec.agg);
-  ExactEngine::AccumulateOver(*base.table, spec, q, &acc);
+  ExactEngine::AccumulateOver(*base.table, scan, spec.measure_col, &acc);
   const size_t dim = snap.num_columns();
+  const size_t mc = spec.measure_col;
   const size_t from = snap.begin() < base.folded
                           ? static_cast<size_t>(base.folded)
                           : snap.begin();
-  snap.ForEachRow(from, snap.end(), [&](const double* row) {
-    if (spec.predicate->Matches(q, row, dim)) acc.Add(row[spec.measure_col]);
+  snap.ForEachSpan(from, snap.end(), [&](const double* rows, size_t n) {
+    const RowMajorRows span{rows, dim};
+    scan.Run(span, n, [&](size_t i, bool hit) {
+      if (hit) acc.Add(span.At(i, mc));
+    });
   });
   return acc.Finalize();
 }
@@ -384,6 +435,10 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
   // alive across any concurrent compaction swap.
   const ExactEngine::PinnedBase pinned =
       engine != nullptr ? engine->Pin() : ExactEngine::PinnedBase{};
+  // Attribute count each query's predicate is compiled for (RangeScan).
+  const size_t data_dim = pinned.table != nullptr
+                              ? pinned.table->num_columns()
+                              : dsnap.num_columns();
 
   // Requests own their queries and never read them again; steal the
   // buffers instead of cloning one heap allocation per query.
@@ -407,6 +462,12 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
   // tools/check_serving_overhead.sh gates.
   Clock::time_point infer_start{};
   Clock::time_point infer_end{};
+  // Delta composition window (scans plus exact recompute over base +
+  // delta), nested inside inference; read only when the batch has a live
+  // delta, so the no-delta path pays no extra clock read.
+  Clock::time_point delta_start{};
+  Clock::time_point delta_end{};
+  bool delta_timed = false;
   Clock::time_point fulfill_end{};
   Clock::time_point* fulfill_now = tracing ? &fulfill_end : nullptr;
   const char* tier_name = "exact";
@@ -443,6 +504,9 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
     shard->stage_assembly.Add(MicrosBetween(collected, infer_start));
     shard->stage_inference.Add(MicrosBetween(infer_start, infer_end));
     shard->stage_fulfill.Add(MicrosBetween(infer_end, fulfill_end));
+    if (delta_timed) {
+      shard->stage_delta.Add(MicrosBetween(delta_start, delta_end));
+    }
   };
 
   if (sketch != nullptr) {
@@ -466,6 +530,7 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
     thread_local std::vector<uint8_t> modes;
     modes.assign(answers.size(), 0);
     if (has_delta) {
+      if (tracing) delta_start = Clock::now();
       const std::vector<uint64_t>* folded = view.leaf_folded.get();
       for (size_t i = 0; i < answers.size(); ++i) {
         if (std::isnan(answers[i])) continue;
@@ -479,9 +544,10 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
           if (w > from) from = w;
         }
         if (from >= dsnap.end()) continue;  // leaf fully folded
-        const DeltaMatch m = ScanDelta(dsnap, from, spec, queries[i]);
-        if (m.matched == 0) continue;  // appends do not touch this query
+        const RangeScan scan(*spec.predicate, queries[i], data_dim);
         if (Decomposable(spec.agg)) {
+          const DeltaMatch m = ScanDelta(dsnap, from, spec, scan);
+          if (m.matched == 0) continue;  // appends do not touch this query
           switch (spec.agg) {
             case Aggregate::kCount:
               answers[i] += static_cast<double>(m.matched);
@@ -497,12 +563,16 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
               break;
           }
           modes[i] = 1;
-        } else if (engine != nullptr) {
-          answers[i] = ExactWithDelta(pinned, spec, queries[i], dsnap);
+        } else if (engine != nullptr && AnyDeltaMatch(dsnap, from, scan)) {
+          answers[i] = ExactWithDelta(pinned, spec, scan, dsnap);
           modes[i] = 2;
         }
         // Non-decomposable with no exact engine: serve the (stale)
         // sketch answer — there is nothing better to compose from.
+      }
+      if (tracing) {
+        delta_end = Clock::now();
+        delta_timed = true;
       }
     }
     // infer_end is the first Fulfill's clock read, set in the loop below.
@@ -553,7 +623,9 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
         // failed_answers when the engine is also stumped). With a live
         // delta the repair composes over base + appended rows, so the
         // repaired answer honors the same freshness contract.
-        const double repaired = ExactWithDelta(pinned, spec, queries[i], dsnap);
+        const double repaired = ExactWithDelta(
+            pinned, spec, RangeScan(*spec.predicate, queries[i], data_dim),
+            dsnap);
         total_us = Fulfill(shard, &(*batch)[i], repaired, false,
                            PlanPrecision::kF64, sc, fulfill_now);
         served_as = "exact";
@@ -596,9 +668,15 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
       // unfolded delta rows — bit-identical to scanning the appended
       // table from scratch, for every aggregate, across any concurrent
       // compaction.
+      if (tracing) delta_start = Clock::now();
       answers.resize(queries.size());
       for (size_t i = 0; i < queries.size(); ++i) {
-        answers[i] = ExactWithDelta(pinned, spec, queries[i], dsnap);
+        const RangeScan scan(*spec.predicate, queries[i], data_dim);
+        answers[i] = ExactWithDelta(pinned, spec, scan, dsnap);
+      }
+      if (tracing) {
+        delta_end = Clock::now();
+        delta_timed = true;
       }
     } else {
       answers = engine->AnswerBatch(spec, queries, options_.exact_batch_threads);
@@ -653,7 +731,8 @@ ServeStats ServeEngine::Snapshot() const {
   ServeStats s;
   s.num_shards = shards_.size();
   LatencyHistogram latency;
-  LatencyHistogram stage_queue, stage_assembly, stage_inference, stage_fulfill;
+  LatencyHistogram stage_queue, stage_assembly, stage_inference, stage_fulfill,
+      stage_delta;
   s.per_shard.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     const Shard& sh = *shards_[i];
@@ -691,6 +770,7 @@ ServeStats ServeEngine::Snapshot() const {
       stage_assembly.AddFrom(sh.stage_assembly);
       stage_inference.AddFrom(sh.stage_inference);
       stage_fulfill.AddFrom(sh.stage_fulfill);
+      stage_delta.AddFrom(sh.stage_delta);
     }
     s.per_shard.push_back(std::move(sd));
   }
@@ -718,6 +798,7 @@ ServeStats ServeEngine::Snapshot() const {
     s.stage_assembly = LatencyBreakdown::From(stage_assembly);
     s.stage_inference = LatencyBreakdown::From(stage_inference);
     s.stage_fulfill = LatencyBreakdown::From(stage_fulfill);
+    s.stage_delta = LatencyBreakdown::From(stage_delta);
   }
 
   // Per-store view: each shard's key map is only touched long enough to
@@ -785,6 +866,7 @@ void ServeEngine::ResetStats() {
     sh.stage_assembly.Reset();
     sh.stage_inference.Reset();
     sh.stage_fulfill.Reset();
+    sh.stage_delta.Reset();
     for (auto& [key, st] : sh.keys) {
       (void)key;
       if (st.counters == nullptr) continue;
@@ -900,18 +982,20 @@ void ServeEngine::ExportMetrics(metrics::MetricsRegistry* registry,
               "Paged-catalog fault-in (disk load) latency, microseconds");
   }
   if (options_.stage_tracing) {
-    LatencyHistogram q, a, inf, ful;
+    LatencyHistogram q, a, inf, ful, del;
     for (const auto& sh : shards_) {
       q.AddFrom(sh->stage_queue);
       a.AddFrom(sh->stage_assembly);
       inf.AddFrom(sh->stage_inference);
       ful.AddFrom(sh->stage_fulfill);
+      del.AddFrom(sh->stage_delta);
     }
     copy_hist(prefix + "stage_us{stage=\"queue\"}", q,
               "Per-stage serve pipeline latency, microseconds");
     copy_hist(prefix + "stage_us{stage=\"assembly\"}", a, "");
     copy_hist(prefix + "stage_us{stage=\"inference\"}", inf, "");
     copy_hist(prefix + "stage_us{stage=\"fulfill\"}", ful, "");
+    copy_hist(prefix + "stage_us{stage=\"delta\"}", del, "");
   }
   for (const auto& ss : s.per_store) {
     const std::string label = "{store=\"" + ss.store + "\"}";

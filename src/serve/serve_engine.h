@@ -271,6 +271,7 @@ class ServeEngine {
     LatencyHistogram stage_assembly;
     LatencyHistogram stage_inference;
     LatencyHistogram stage_fulfill;
+    LatencyHistogram stage_delta;  // nested inside stage_inference
 
     explicit Shard(size_t ring_capacity) : ring(ring_capacity) {}
   };

@@ -122,7 +122,7 @@ struct ServeStats {
   /// stage_tracing); the stage breakdowns below are all-zero otherwise.
   bool stage_tracing = false;
   /// Per-stage latency split of the serve pipeline. queue.count counts
-  /// requests (each waits individually); the other three count
+  /// requests (each waits individually); the other stages count
   /// micro-batches (the stage is shared by the whole batch).
   LatencyBreakdown stage_queue;      ///< enqueue -> picked into a batch
   LatencyBreakdown stage_assembly;   ///< batch collection -> inference
@@ -133,6 +133,12 @@ struct ServeStats {
   /// Boundaries reuse the clock reads fulfillment already pays, so stage
   /// tracing adds only one extra clock read to the critical path.
   LatencyBreakdown stage_fulfill;
+  /// Delta composition: the exact scans of unfolded delta rows plus any
+  /// exact recompute over base + delta. Nested inside stage_inference
+  /// (not an additional slice of the pipeline) and counted only for
+  /// micro-batches that saw a live delta, so count may be below the other
+  /// stages' counts and is 0 on datasets without streaming.
+  LatencyBreakdown stage_delta;
 
   /// One entry per (dataset, query function) key that has served
   /// traffic, sorted by display key.

@@ -14,12 +14,14 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/neurosketch.h"
 #include "data/generators.h"
+#include "index/kdtree.h"
 #include "nn/inference_plan.h"
 #include "nn/mlp.h"
 #include "nn/serialize.h"
@@ -457,6 +459,91 @@ TEST(SketchImageTest, HostileRoutingCountIsRejected) {
     }
     ExpectIOError(NeuroSketch::Load(path));
     std::remove(path.c_str());
+  }
+}
+
+// A sketch image carrying `routing` and no models: everything past the
+// routing block parses, so a load failure is the routing decoder's.
+std::string RoutingOnlyImage(const std::vector<double>& routing,
+                             uint64_t qdim) {
+  std::string image;
+  Append<uint64_t>(&image, qdim);
+  Append<uint64_t>(&image, routing.size());
+  for (double v : routing) Append<double>(&image, v);
+  Append<uint64_t>(&image, 0);  // nmodels
+  return image;
+}
+
+void ExpectRoutingRejected(const std::vector<double>& routing, size_t qdim) {
+  auto tree = QuerySpaceKdTree::DecodeRouting(routing, qdim);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument)
+      << tree.status().ToString();
+  auto loaded = LoadFromString(RoutingOnlyImage(routing, qdim));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << loaded.status().ToString();
+}
+
+// A right-leaning chain of `internal` split nodes over dimension 0, each
+// with a leaf on its left: depth `internal`, leaf ids 0..internal.
+std::vector<double> ChainRouting(size_t internal) {
+  std::vector<double> enc;
+  for (size_t i = 0; i < internal; ++i) {
+    enc.insert(enc.end(), {0.0, 0.5, -1.0, static_cast<double>(i)});
+  }
+  enc.insert(enc.end(), {-1.0, static_cast<double>(internal)});
+  return enc;
+}
+
+TEST(SketchImageTest, HostileRoutingSplitDimIsRejected) {
+  const size_t qdim = 4;
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double dim : {4.0, 5.0, 1e9, 1e300, -2.0, 0.5, 3.999, nan, inf, -inf}) {
+    SCOPED_TRACE(dim);
+    ExpectRoutingRejected({dim, 0.5, -1.0, 0.0, -1.0, 1.0}, qdim);
+  }
+  // A split anywhere in the tree is checked, not only at the root.
+  ExpectRoutingRejected({0.0, 0.5, -1.0, 0.0, 7.0, 0.5, -1.0, 1.0, -1.0, 2.0},
+                        qdim);
+  // No split is possible without a query dimension.
+  ExpectRoutingRejected({0.0, 0.5, -1.0, 0.0, -1.0, 1.0}, 0);
+}
+
+TEST(SketchImageTest, HostileRoutingLeafIdIsRejected) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double id : {1.0, 2.0, -1.0, 0.5, 1e300, nan, inf, -inf}) {
+    SCOPED_TRACE(id);
+    ExpectRoutingRejected({-1.0, id}, 2);  // one leaf: only id 0 is valid
+  }
+  // Two leaves: ids must be below 2.
+  ExpectRoutingRejected({1.0, 0.5, -1.0, 0.0, -1.0, 2.0}, 2);
+}
+
+TEST(SketchImageTest, MalformedRoutingShapeIsRejected) {
+  ExpectRoutingRejected({0.0, 0.5, -1.0, 0.0}, 2);              // no right
+  ExpectRoutingRejected({-1.0, 0.0, -1.0, 0.0}, 2);             // trailing
+  ExpectRoutingRejected({0.0, 0.5, 0.0, 0.5, -1.0, 0.0}, 2);    // truncated
+}
+
+TEST(SketchImageTest, DeepRoutingIsRejectedWithoutRecursing) {
+  const size_t limit = QuerySpaceKdTree::kMaxRoutingDepth;
+  // At the bound: decodes, routes, and re-encodes to the same doubles.
+  const std::vector<double> deepest = ChainRouting(limit);
+  auto tree = QuerySpaceKdTree::DecodeRouting(deepest, 2);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(tree.value().EncodeRouting(), deepest);
+  EXPECT_EQ(tree.value().NumLeaves(), limit + 1);
+  const auto* leaf = tree.value().Route(QueryInstance({0.9, 0.9}));
+  ASSERT_NE(leaf, nullptr);
+  EXPECT_EQ(leaf->leaf_id, static_cast<int>(limit));
+  // One level past it, and a chain deep enough to exhaust any call stack
+  // a recursive decoder would use: a Status, not a crash.
+  for (size_t internal : {limit + 1, size_t{1} << 17}) {
+    SCOPED_TRACE(internal);
+    ExpectRoutingRejected(ChainRouting(internal), 2);
   }
 }
 

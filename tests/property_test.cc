@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <tuple>
@@ -19,6 +21,7 @@
 #include "index/kdtree.h"
 #include "query/engine.h"
 #include "query/predicate.h"
+#include "query/range_scan.h"
 #include "query/workload.h"
 #include "serve/delta_buffer.h"
 #include "serve/refresh.h"
@@ -618,6 +621,213 @@ TEST_P(CompactionTrialSweep, ServeBitIdenticalAndDeltaBounded) {
 INSTANTIATE_TEST_SUITE_P(Trials, CompactionTrialSweep,
                          testing::Values(0, 1, 2, 3));
 
+// ---------------------------------------------------------------------
+// Compiled range bounds (query/range_scan.h) are the devirtualized form of
+// AxisRangePredicate::Matches every exact scan uses. They must accept
+// exactly the rows Matches accepts — at the interval edges, on inactive
+// full-range attributes whose data sits at 1.0, for NaN and signed-zero
+// row values and query values — in both row layouts. Other predicate
+// families must still take the virtual path and give identical scans.
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// RangeScan's verdict on one row, through both row layouts.
+bool ScanVerdict(const RangeScan& scan, const std::vector<double>& row) {
+  bool row_major = false, columnar = false;
+  scan.Run(RowMajorRows{row.data(), row.size()}, 1,
+           [&](size_t, bool hit) { row_major = hit; });
+  std::vector<const double*> cols(row.size());
+  for (size_t c = 0; c < row.size(); ++c) cols[c] = &row[c];
+  scan.Run(ColumnRows{cols.data(), cols.size()}, 1,
+           [&](size_t, bool hit) { columnar = hit; });
+  EXPECT_EQ(row_major, columnar);
+  return row_major;
+}
+
+class CompiledBoundsSweep : public testing::TestWithParam<size_t> {};
+
+TEST_P(CompiledBoundsSweep, AcceptExactlyTheRowsMatchesAccepts) {
+  const size_t dim = 4;
+  const size_t active = GetParam();
+  const AxisRangePredicate pred;
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  // Active (c, r) pairs, including NaN query values and a -0.0 start.
+  const std::vector<std::pair<double, double>> active_cr = {
+      {0.25, 0.5}, {0.0, 0.5}, {-0.0, 0.3}, {0.1, 0.7}, {0.5, 0.5},
+      {0.3, 1e-9}, {nan, 0.2}, {0.2, nan}, {0.6, 0.0}};
+  // Spellings of an inactive attribute Matches skips: (+-0, >= 1).
+  const std::vector<std::pair<double, double>> inactive_cr = {
+      {0.0, 1.0}, {-0.0, 1.0}, {0.0, 2.0}, {0.0, inf}};
+  Rng rng(900 + active);
+  size_t hits = 0, misses = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<double> q(2 * dim);
+    std::vector<size_t> order = {0, 1, 2, 3};
+    std::shuffle(order.begin(), order.end(), rng.engine());
+    for (size_t k = 0; k < dim; ++k) {
+      const size_t i = order[k];
+      const auto& cr = k < active ? active_cr[rng.Index(active_cr.size())]
+                                  : inactive_cr[rng.Index(inactive_cr.size())];
+      q[i] = cr.first;
+      q[dim + i] = cr.second;
+    }
+    const QueryInstance qi(q);
+    const RangeScan scan(pred, qi, dim);
+    ASSERT_TRUE(scan.compiled());
+    ASSERT_EQ(scan.bounds().size(), active);
+    for (const AxisBound& b : scan.bounds()) {
+      // hi is the very double Matches computes per row.
+      EXPECT_TRUE(SameBits(b.hi, q[b.col] + q[dim + b.col]));
+    }
+    for (int r = 0; r < 40; ++r) {
+      std::vector<double> row(dim);
+      for (size_t c = 0; c < dim; ++c) {
+        const double lo = q[c], hi = q[c] + q[dim + c];
+        switch (rng.Index(9)) {
+          case 0: row[c] = lo; break;           // exactly at c: inside
+          case 1: row[c] = hi; break;           // exactly at c + r: outside
+          case 2: row[c] = 1.0; break;          // top of the domain
+          case 3: row[c] = nan; break;
+          case 4: row[c] = 0.0; break;
+          case 5: row[c] = -0.0; break;
+          case 6: row[c] = std::nextafter(hi, -inf); break;
+          default: row[c] = rng.Uniform(); break;
+        }
+      }
+      const bool want = pred.Matches(qi, row.data(), dim);
+      EXPECT_EQ(ScanVerdict(scan, row), want)
+          << "trial " << trial << " row " << r;
+      (want ? hits : misses) += 1;
+    }
+  }
+  // Both verdicts must be exercised, or the sweep proves nothing.
+  EXPECT_GT(hits, 0u);
+  if (active > 0) {
+    EXPECT_GT(misses, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ActiveAttributes, CompiledBoundsSweep,
+                         testing::Values(size_t{0}, size_t{1}, size_t{4}));
+
+TEST(CompiledBoundsTest, EdgeValuesMatchTheVirtualPredicate) {
+  const AxisRangePredicate pred;
+  const double nan = std::nan("");
+  // Attribute 0 active on [0.25, 0.75); attribute 1 inactive (0, 1).
+  const QueryInstance q({0.25, 0.0, 0.5, 1.0});
+  const RangeScan scan(pred, q, 2);
+  ASSERT_TRUE(scan.compiled());
+  ASSERT_EQ(scan.bounds().size(), 1u);
+  EXPECT_EQ(scan.bounds()[0].col, 0u);
+  struct Case {
+    std::vector<double> row;
+    bool want;
+  };
+  const std::vector<Case> cases = {
+      {{0.25, 0.5}, true},   // exactly at lo
+      {{0.75, 0.5}, false},  // exactly at c + r
+      {{0.5, 1.0}, true},    // 1.0 on the inactive attribute
+      {{0.5, nan}, true},    // NaN on the inactive attribute
+      {{nan, 0.5}, true},    // NaN never fails a bound
+      {{0.0, 0.5}, false},
+      {{-0.0, 0.5}, false},
+  };
+  for (const auto& c : cases) {
+    ASSERT_EQ(pred.Matches(q, c.row.data(), 2), c.want);
+    EXPECT_EQ(ScanVerdict(scan, c.row), c.want);
+  }
+  // +-0.0 sit exactly at lo = 0 and -0.0 alike.
+  for (double lo : {0.0, -0.0}) {
+    const QueryInstance z({lo, 0.5});
+    const RangeScan zs(pred, z, 1);
+    ASSERT_EQ(zs.bounds().size(), 1u);
+    for (double v : {0.0, -0.0}) {
+      EXPECT_TRUE(pred.Matches(z, &v, 1));
+      EXPECT_TRUE(ScanVerdict(zs, {v}));
+    }
+  }
+}
+
+/// A small table with NaN, signed zeros and exact interval edges mixed
+/// into uniform data.
+Table EdgeValueTable(size_t rows, uint64_t seed) {
+  Schema schema;
+  schema.columns = {"x", "y", "m"};
+  Table t(schema);
+  Rng rng(seed);
+  const double specials[] = {std::nan(""), 0.0, -0.0, 0.25, 0.75, 1.0};
+  for (size_t i = 0; i < rows; ++i) {
+    std::vector<double> row(3);
+    for (double& v : row) {
+      v = rng.Index(5) == 0 ? specials[rng.Index(6)] : rng.Uniform();
+    }
+    EXPECT_TRUE(t.AppendRow(row).ok());
+  }
+  return t;
+}
+
+/// The per-row virtual loop the scans replaced: the reference.
+double ReferenceAnswer(const Table& t, const QueryFunctionSpec& spec,
+                       const QueryInstance& q, size_t* matched) {
+  AggregateAccumulator acc(spec.agg);
+  *matched = 0;
+  for (size_t i = 0; i < t.num_rows(); ++i) {
+    const std::vector<double> row = t.Row(i);
+    if (!spec.predicate->Matches(q, row.data(), row.size())) continue;
+    ++*matched;
+    acc.Add(row[spec.measure_col]);
+  }
+  return acc.Finalize();
+}
+
+TEST(CompiledBoundsTest, EveryPredicateFamilyScansBitIdentically) {
+  const Table t = EdgeValueTable(3000, 71);
+  const ExactEngine engine(&t);
+  struct Family {
+    std::shared_ptr<const PredicateFunction> pred;
+    std::vector<QueryInstance> queries;
+    bool compiled;
+  };
+  const std::vector<Family> families = {
+      {AxisRangePredicate::Make(),
+       {QueryInstance({0.25, 0.0, 0.0, 0.5, 1.0, 1.0}),
+        QueryInstance({0.1, 0.2, 0.0, 0.4, 0.5, 1.0}),
+        QueryInstance({0.0, 0.0, 0.0, 1.0, 1.0, 1.0})},
+       true},
+      {CircularPredicate::Make(2),
+       {QueryInstance({0.5, 0.5, 0.3}), QueryInstance({0.25, 0.75, 0.5})},
+       false},
+      {HalfSpacePredicate::Make(),
+       {QueryInstance({0.5, 0.2}), QueryInstance({-1.0, 0.9})},
+       false},
+  };
+  for (const auto& fam : families) {
+    for (Aggregate agg : {Aggregate::kCount, Aggregate::kSum,
+                          Aggregate::kAvg, Aggregate::kStd,
+                          Aggregate::kMedian, Aggregate::kMin}) {
+      QueryFunctionSpec spec;
+      spec.predicate = fam.pred;
+      spec.agg = agg;
+      spec.measure_col = 2;
+      for (const auto& q : fam.queries) {
+        SCOPED_TRACE(fam.pred->name() + " " + AggregateName(agg));
+        EXPECT_EQ(RangeScan(*fam.pred, q, 3).compiled(), fam.compiled);
+        size_t matched = 0;
+        const double want = ReferenceAnswer(t, spec, q, &matched);
+        EXPECT_TRUE(SameBits(engine.Answer(spec, q), want));
+        AggregateAccumulator acc(agg);
+        ExactEngine::AccumulateOver(t, spec, q, &acc);
+        EXPECT_TRUE(SameBits(acc.Finalize(), want));
+        EXPECT_EQ(engine.CountMatches(spec, q), matched);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // COUNT of a range equals the sum of COUNTs of a partition of that range.
 TEST(RangeAdditivityTest, CountIsAdditiveOverSplits) {
   Table t = MakeUniformTable(10000, 2, 2800);

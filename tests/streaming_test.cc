@@ -12,13 +12,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -339,6 +342,191 @@ TEST(StreamingSketchPathTest, DecomposableCorrectedNonDecomposableExact) {
   const auto stats = serve.Snapshot();
   EXPECT_GT(stats.delta_corrected_answers, 0u);
   EXPECT_EQ(stats.delta_exact_answers, exact_recomputed);
+}
+
+/// Bitwise equality: distinguishes -0.0 from +0.0 and compares NaNs.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The COUNT/SUM delta correction accumulates without branches (adds 0.0
+// for every non-matching row). That must stay bit-identical to a
+// from-scratch scan that only touches matching rows, even when the
+// non-matching rows' measures are NaN or -0.0 and matching measures are
+// -0.0. Small chunks make every scan cross many spans; AVG checks the
+// early-exit presence scan finds a match in a late span.
+TEST(StreamingSketchPathTest, BranchFreeCorrectionIgnoresNaNAndNegativeZero) {
+  Dataset ds = MakeGmmDataset(1200, 3, 3, /*seed=*/57);
+  Table base = Normalizer::Fit(ds.table).Transform(ds.table);
+  const size_t dim = base.num_columns();
+  const size_t mc = ds.measure_col;
+  const size_t a = (mc + 1) % dim;  // the constrained attribute
+  ExactEngine engine(&base);
+  const std::vector<QueryFunctionSpec> specs = {
+      AxisSpec(Aggregate::kCount, mc), AxisSpec(Aggregate::kSum, mc),
+      AxisSpec(Aggregate::kAvg, mc)};
+
+  WorkloadConfig wc;
+  wc.num_active = 1;
+  wc.seed = 19;
+  WorkloadGenerator gen(dim, wc);
+  const auto train_q = gen.GenerateMany(300, &engine, &specs[0]);
+  SketchStore store;
+  ASSERT_TRUE(store.RegisterDataset("gmm", &engine).ok());
+  ASSERT_TRUE(store.RegisterDataset("scan", &engine).ok());  // no sketch
+  std::vector<std::shared_ptr<const NeuroSketch>> sketches;
+  for (const auto& spec : specs) {
+    auto trained = NeuroSketch::Train(
+        train_q, engine.AnswerBatch(spec, train_q), SmallConfig());
+    ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+    sketches.push_back(
+        std::make_shared<const NeuroSketch>(std::move(trained).value()));
+    ASSERT_TRUE(store.Register("gmm", spec, sketches.back()).ok());
+  }
+
+  // Queries constrain attribute `a` only: [0.30, 0.50) and [0.60, 0.70).
+  auto range_query = [&](double c, double r) {
+    std::vector<double> q(2 * dim, 0.0);
+    for (size_t i = 0; i < dim; ++i) q[dim + i] = 1.0;
+    q[a] = c;
+    q[dim + a] = r;
+    return QueryInstance(q);
+  };
+  const std::vector<QueryInstance> queries = {range_query(0.30, 0.20),
+                                              range_query(0.60, 0.10)};
+  const double nan = std::nan("");
+  // Rows inside a query range carry finite measures (some -0.0); rows
+  // outside every range carry NaN or -0.0. Values exactly at lo match;
+  // values exactly at c + r do not. The matching rows come last, so the
+  // AVG presence scan has to cross many spans to find one.
+  const std::vector<double> outside = {0.05, 0.2, 0.2 + 0.3, 0.5, 0.55,
+                                       0.6 + 0.1, 0.8, 0.95};
+  Rng rng(5);
+  std::vector<std::vector<double>> appended;
+  auto add_row = [&](double av, double measure) {
+    std::vector<double> row(dim);
+    for (size_t c = 0; c < dim; ++c) row[c] = rng.Uniform();
+    row[a] = av;
+    row[mc] = measure;
+    appended.push_back(std::move(row));
+  };
+  for (int i = 0; i < 60; ++i) {
+    add_row(outside[i % outside.size()], i % 2 == 0 ? nan : -0.0);
+  }
+  for (double av : {0.30, 0.35, 0.42, 0.49, 0.60, 0.62, 0.65, 0.69}) {
+    add_row(av, -0.0);
+    add_row(av, rng.Uniform(0.1, 0.9));
+  }
+  for (const char* d : {"gmm", "scan"}) {
+    ASSERT_TRUE(store.EnableStreaming(d, dim, /*chunk_rows=*/3).ok());
+    ASSERT_TRUE(store.AppendRows(d, appended).ok());
+  }
+  Table merged = base;
+  for (const auto& r : appended) ASSERT_TRUE(merged.AppendRow(r).ok());
+  ExactEngine merged_engine(&merged);
+
+  ServeOptions so;
+  so.num_shards = 1;
+  so.batch_window_us = 0.0;
+  ServeEngine serve(&store, so);
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const QueryInstance& q = queries[qi];
+    // From-scratch reference: only matching rows are touched.
+    size_t matched = 0;
+    double sum = 0.0;
+    for (const auto& r : appended) {
+      if (!specs[0].predicate->Matches(q, r.data(), dim)) continue;
+      ++matched;
+      sum += r[mc];
+    }
+    ASSERT_EQ(matched, 8u);
+    for (size_t k = 0; k < specs.size(); ++k) {
+      SCOPED_TRACE("query " + std::to_string(qi) + " " +
+                   AggregateName(specs[k].agg));
+      const double sk = sketches[k]->Answer(q);
+      ASSERT_FALSE(std::isnan(sk));
+      double want = merged_engine.Answer(specs[k], q);
+      if (specs[k].agg == Aggregate::kCount) {
+        want = sk + static_cast<double>(matched);
+      } else if (specs[k].agg == Aggregate::kSum) {
+        want = sk + sum;
+      }
+      const ServeResult got = serve.Answer("gmm", specs[k], q);
+      EXPECT_TRUE(SameBits(got.value, want)) << got.value << " vs " << want;
+      EXPECT_EQ(got.used_sketch, specs[k].agg != Aggregate::kAvg);
+      // The exact path continues the base scan over the same spans.
+      const double exact = merged_engine.Answer(specs[k], q);
+      EXPECT_FALSE(std::isnan(exact));
+      EXPECT_TRUE(SameBits(serve.Answer("scan", specs[k], q).value, exact));
+    }
+  }
+}
+
+// Stage tracing reports delta composition (scans plus exact recompute) as
+// its own `delta` stage, nested inside inference and recorded only for
+// micro-batches that saw a live delta; tracing off records nothing.
+TEST(StreamingStageTest, DeltaStageCountsOnlyBatchesWithALiveDelta) {
+  Dataset ds = MakeGmmDataset(800, 3, 3, /*seed=*/61);
+  Table base = Normalizer::Fit(ds.table).Transform(ds.table);
+  ExactEngine engine(&base);
+  const QueryFunctionSpec sum = AxisSpec(Aggregate::kSum, ds.measure_col);
+  const QueryFunctionSpec avg = AxisSpec(Aggregate::kAvg, ds.measure_col);
+  WorkloadConfig wc;
+  wc.num_active = 1;
+  wc.seed = 23;
+  WorkloadGenerator gen(base.num_columns(), wc);
+  const auto train_q = gen.GenerateMany(200, &engine, &sum);
+  auto sketch = NeuroSketch::Train(train_q, engine.AnswerBatch(sum, train_q),
+                                   SmallConfig());
+  ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
+  auto sp = std::make_shared<const NeuroSketch>(std::move(sketch).value());
+
+  SketchStore store;
+  ASSERT_TRUE(store.RegisterDataset("static", &engine).ok());
+  ASSERT_TRUE(store.RegisterDataset("live", &engine).ok());
+  ASSERT_TRUE(store.Register("static", sum, sp).ok());
+  ASSERT_TRUE(store.Register("live", sum, sp).ok());  // avg: exact path
+  ASSERT_TRUE(store.EnableStreaming("live", base.num_columns()).ok());
+  ASSERT_TRUE(store.AppendRows("live", {std::vector<double>(
+                                           base.num_columns(), 0.5)})
+                  .ok());
+
+  for (bool tracing : {true, false}) {
+    SCOPED_TRACE(tracing);
+    ServeOptions so;
+    so.num_shards = 1;
+    so.batch_window_us = 0.0;
+    so.stage_tracing = tracing;
+    ServeEngine serve(&store, so);
+    // Single Answers: one micro-batch each.
+    for (size_t i = 0; i < 6; ++i) {
+      (void)serve.Answer("static", sum, train_q[i]);
+      (void)serve.Answer("live", sum, train_q[i]);
+      (void)serve.Answer("live", avg, train_q[i]);
+    }
+    serve::ServeStats st = serve.Snapshot();
+    // The stage adds land after the last promise resolves.
+    for (int spin = 0; tracing && spin < 2000 &&
+                       st.stage_inference.count < st.batches;
+         ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      st = serve.Snapshot();
+    }
+    ASSERT_EQ(st.batches, 18u);
+    if (!tracing) {
+      EXPECT_EQ(st.stage_delta.count, 0u);
+      continue;
+    }
+    EXPECT_EQ(st.stage_inference.count, 18u);
+    EXPECT_EQ(st.stage_delta.count, 12u);  // the "live" batches only
+    EXPECT_LE(st.stage_delta.p50_us, st.stage_inference.p999_us);
+
+    metrics::MetricsRegistry reg;
+    serve.ExportMetrics(&reg);
+    EXPECT_NE(reg.TextExposition().find(
+                  "nsketch_serve_stage_us_count{stage=\"delta\"} 12"),
+              std::string::npos);
+  }
 }
 
 // Tier coverage: the composition contract holds on the f32 tier too — the
@@ -1103,6 +1291,86 @@ TEST(DeltaBufferTest, TrimBoundariesAreChunkGranular) {
   EXPECT_EQ(buf.Trim(100), 4u);  // clamped to the published size
   EXPECT_EQ(buf.trimmed(), 8u);
   EXPECT_EQ(buf.Stats().rows, 0u);
+}
+
+// ForEachSpan is the scan primitive every delta composition walks; it
+// must visit exactly the rows ForEachRow does, in the same order, in
+// spans that stay inside one chunk and are contiguous in memory — for
+// degenerate, odd and default chunk sizes, from mid-chunk starts, and
+// after a Trim.
+TEST(DeltaBufferTest, ForEachSpanVisitsTheSameRowsAsForEachRow) {
+  for (size_t chunk_rows : {size_t{1}, size_t{3}, size_t{1024}}) {
+    SCOPED_TRACE(chunk_rows);
+    DeltaBuffer buf(2, chunk_rows);
+    const size_t total = 2600;
+    // Row i carries its logical index, (i, -i); single Appends and
+    // AppendRows batches interleave.
+    std::vector<std::vector<double>> batch;
+    for (size_t i = 0; i < total; ++i) {
+      std::vector<double> row = {static_cast<double>(i),
+                                 -static_cast<double>(i)};
+      if (i % 7 == 0) {
+        if (!batch.empty()) buf.AppendRows(batch);
+        batch.clear();
+        buf.Append(row);
+      } else {
+        batch.push_back(std::move(row));
+        if (batch.size() == 5) {
+          buf.AppendRows(batch);
+          batch.clear();
+        }
+      }
+    }
+    if (!batch.empty()) buf.AppendRows(batch);
+    ASSERT_EQ(buf.size(), total);
+
+    auto check = [&](const DeltaBuffer::Snapshot& snap, size_t from,
+                     size_t to) {
+      SCOPED_TRACE("from " + std::to_string(from) + " to " +
+                   std::to_string(to));
+      std::vector<double> by_row, by_span;
+      snap.ForEachRow(from, to,
+                      [&](const double* row) { by_row.push_back(row[0]); });
+      snap.ForEachSpan(from, to, [&](const double* rows, size_t n) {
+        ASSERT_GE(n, 1u);
+        ASSERT_LE(n, chunk_rows);
+        const size_t first = static_cast<size_t>(rows[0]);
+        // A span never crosses a chunk boundary.
+        EXPECT_EQ(first / chunk_rows, (first + n - 1) / chunk_rows);
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(rows[2 * i], static_cast<double>(first + i));
+          EXPECT_EQ(rows[2 * i + 1], -static_cast<double>(first + i));
+          by_span.push_back(rows[2 * i]);
+        }
+      });
+      std::vector<double> want;
+      const size_t lo = std::max(from, snap.begin());
+      for (size_t r = lo; r < std::min(to, snap.end()); ++r) {
+        want.push_back(static_cast<double>(r));
+      }
+      EXPECT_EQ(by_row, want);
+      EXPECT_EQ(by_span, want);
+    };
+
+    const DeltaBuffer::Snapshot before = buf.Snap();
+    const size_t mid = chunk_rows + chunk_rows / 2;  // inside chunk 1
+    for (size_t from : {size_t{0}, size_t{1}, mid, chunk_rows, total - 1,
+                        total, total + 5}) {
+      check(before, from, total);
+      check(before, from, from + 2 * chunk_rows + 1);
+    }
+    check(before, 5, 3);  // empty range
+
+    EXPECT_EQ(buf.Trim(2 * chunk_rows), 2 * chunk_rows);
+    const DeltaBuffer::Snapshot after = buf.Snap();
+    ASSERT_EQ(after.begin(), 2 * chunk_rows);
+    for (size_t from : {size_t{0}, after.begin(), after.begin() + 1,
+                        after.begin() + mid, total - 1}) {
+      check(after, from, total);
+    }
+    // The pre-trim snapshot still owns its chunks.
+    check(before, 0, total);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -62,17 +62,17 @@ void BM_CompiledMlpForward(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledMlpForward)->Arg(3)->Arg(5)->Arg(10);
 
-void BM_CompiledMlpF32Forward(benchmark::State& state) {
+void BM_CompiledMlpForwardF32(benchmark::State& state) {
   nn::Mlp model(nn::MlpConfig::Paper(6, state.range(0), 60, 30), 7);
-  nn::CompiledMlpF32 plan =
-      nn::CompiledMlpF32::FromPlan(nn::CompiledMlp::FromMlp(model));
+  const auto plan =
+      nn::CompiledMlpT<float>::FromPlan(nn::CompiledMlp::FromMlp(model));
   nn::Workspace ws;
   std::vector<double> x = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
   for (auto _ : state) {
     benchmark::DoNotOptimize(plan.PredictOne(x.data(), &ws));
   }
 }
-BENCHMARK(BM_CompiledMlpF32Forward)->Arg(3)->Arg(5)->Arg(10);
+BENCHMARK(BM_CompiledMlpForwardF32)->Arg(3)->Arg(5)->Arg(10);
 
 void BM_TreeAggAnswer(benchmark::State& state) {
   auto& f = F();

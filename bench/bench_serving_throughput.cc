@@ -11,7 +11,7 @@
 // commits; the snapshot also carries the observability sections — the
 // headline run's per-stage latency breakdown and per-store stats, the
 // stage-tracing on/off overhead on the single-query serve path (CI gates
-// it via tools/check_serving_overhead.sh), the metrics-registry document
+// it via tools/check_bench_gates.py), the metrics-registry document
 // (nsketch_build_* + nsketch_serve_*) under "metrics", a "multi_core"
 // shard-count sweep (same gate script sanity-checks 4-shard scaling on
 // >= 4-core machines), a "zipfian" skewed-load arm (s = 0.99 over 16
@@ -20,7 +20,7 @@
 // one catalog file served under a 25% / 50% / 100% resident-byte budget
 // vs a fully-resident baseline, with fault-in p50/p99, pool churn, and a
 // bit-identity check of every served answer (CI gates answers_match and
-// peak <= budget via tools/check_resident_budget.sh), and a "streaming"
+// peak <= budget via tools/check_bench_gates.py), and a "streaming"
 // arm: serving under live appends with drift-driven refresh off vs on —
 // QPS, stale-sketch vs post-refresh probe MAE against the drift policy
 // bound, refresh lag, partial-retrain accounting, and a quiescent
@@ -30,7 +30,7 @@
 // controller's threshold sweep), reporting fold/trim accounting, the
 // bounded resident delta, and mid-run bit-identity against from-scratch
 // scans (CI gates freshness + answers_match + bounded compaction via
-// tools/check_streaming_freshness.sh).
+// tools/check_bench_gates.py).
 //
 // Usage: bench_serving_throughput [out.json]
 #include <algorithm>
@@ -346,7 +346,7 @@ ZipfReport RunZipfian(const SketchStore* store, const QueryFunctionSpec& spec,
 // answer in every run is compared bit-for-bit against the sketch's own
 // fully-resident output — the paging layer must never perturb a bit —
 // and the pool's peak residency must stay within budget. Both properties
-// land in the json for tools/check_resident_budget.sh to gate.
+// land in the json for tools/check_bench_gates.py to gate.
 
 constexpr size_t kPagedSketches = 256;
 
@@ -887,7 +887,7 @@ StreamingReport RunStreaming() {
 // answers mid-run for all seven aggregates and require them bit-identical
 // to a from-scratch scan of base + every row appended so far — across
 // however many base-table swaps compaction performed. The CI gate
-// (tools/check_streaming_freshness.sh) requires >= 1 compaction,
+// (tools/check_bench_gates.py) requires >= 1 compaction,
 // trimmed_rows > 0, answers_match, and the resident delta bounded by the
 // policy threshold instead of growing with the append history.
 
@@ -1329,7 +1329,7 @@ Status WriteJson(const std::string& path, const std::vector<RunResult>& rows,
   std::fprintf(f, "  \"metrics\": %s,\n", obs.metrics_json.c_str());
   // Shard scaling: micro-batch QPS with the same 8-client / 8-store load
   // at increasing shard counts. speedup_4_shards only means anything on
-  // a >=4-core machine; check_serving_overhead.sh gates accordingly.
+  // a >=4-core machine; check_bench_gates.py gates accordingly.
   double qps1 = 0.0, qps4 = 0.0;
   for (const RunResult& r : multi_core) {
     if (r.shards == 1) qps1 = r.qps;

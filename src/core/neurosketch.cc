@@ -270,7 +270,7 @@ Status NeuroSketch::RetrainLeaves(const std::vector<int>& leaf_ids,
   // same validate-or-fallback step as Train — the divergence record is
   // whole-sketch state, so the replay covers every leaf, not just the
   // retrained ones.
-  std::vector<nn::CompiledMlpF32>().swap(plans_f32_);
+  std::vector<nn::CompiledMlpT<float>>().swap(plans_f32_);
   f32_available_ = false;
   precision_ = PlanPrecision::kF64;
   EnableRequestedTier(q_ok, config);
@@ -295,7 +295,7 @@ bool NeuroSketch::EnableF32(const std::vector<QueryInstance>& validation,
   ThreadPool& pool = ThreadPool::Shared();
   plans_f32_.resize(plans_.size());
   pool.ParallelFor(plans_.size(), num_threads, [&](size_t i) {
-    plans_f32_[i] = nn::CompiledMlpF32::FromPlan(plans_[i]);
+    plans_f32_[i] = nn::CompiledMlpT<float>::FromPlan(plans_[i]);
   });
   // Measure the worst |f32 - f64| divergence in standardized units (the
   // raw network output, before per-leaf rescaling) so the bound does not
@@ -371,7 +371,7 @@ Status NeuroSketch::EnsureTier(PlanPrecision precision) {
       // ones bit-for-bit.
       plans_f32_.resize(plans_.size());
       for (size_t i = 0; i < plans_.size(); ++i) {
-        plans_f32_[i] = nn::CompiledMlpF32::FromPlan(plans_[i]);
+        plans_f32_[i] = nn::CompiledMlpT<float>::FromPlan(plans_[i]);
       }
     }
     return Status::OK();
@@ -387,7 +387,7 @@ size_t NeuroSketch::ReleaseTier(PlanPrecision precision) {
   // it means going cold — dropping the whole sketch object).
   if (precision == precision_ || precision == PlanPrecision::kF64) return 0;
   const size_t freed = PlanBytes(precision);
-  std::vector<nn::CompiledMlpF32>().swap(plans_f32_);
+  std::vector<nn::CompiledMlpT<float>>().swap(plans_f32_);
   return freed;
 }
 
@@ -440,9 +440,9 @@ double NeuroSketch::Answer(const QueryInstance& q) const {
   }
   const int id = leaf->leaf_id;
   nn::Workspace& ws = nn::Workspace::ThreadLocal();
-  const double raw = precision_ == PlanPrecision::kF32
-                         ? plans_f32_[id].PredictOne(q.q.data(), &ws)
-                         : plans_[id].PredictOne(q.q.data(), &ws);
+  const double raw = OnTier(precision_, [&](const auto& plans) {
+    return plans[id].PredictOne(q.q.data(), &ws);
+  });
   return raw * target_scale_[id] + target_mean_[id];
 }
 
@@ -462,18 +462,38 @@ double NeuroSketch::AnswerScalar(const QueryInstance& q) const {
 
 std::vector<double> NeuroSketch::AnswerBatch(
     const std::vector<QueryInstance>& queries) const {
-  std::vector<double> out;
-  out.reserve(queries.size());
-  for (const auto& q : queries) out.push_back(Answer(q));
-  return out;
-}
-
-std::vector<double> NeuroSketch::AnswerBatchVectorized(
-    const std::vector<QueryInstance>& queries) const {
   std::vector<double> out(queries.size());
   AnswerBatchVectorizedTo(queries, out.data());
   return out;
 }
+
+namespace {
+
+// One leaf's bucket of a vectorized batch: gather the bucket's inputs
+// straight into the arena as the plan's element type (for f32, casting
+// once per element during the copy instead of staging doubles and
+// re-reading them for a separate narrowing pass), run one batched forward
+// pass, and scatter the de-standardized answers back by query index. Per
+// batch cost is bookkeeping only; the model math never allocates.
+template <typename T>
+void AnswerBucket(const nn::CompiledMlpT<T>& plan,
+                  const std::vector<QueryInstance>& queries,
+                  const std::vector<size_t>& ids, size_t qdim, double scale,
+                  double mean, nn::Workspace* ws, double* out) {
+  T* inputs = ws->Input<T>(ids.size() * qdim);
+  for (size_t r = 0; r < ids.size(); ++r) {
+    const auto& q = queries[ids[r]].q;
+    T* dst = inputs + r * qdim;
+    for (size_t j = 0; j < qdim; ++j) dst[j] = static_cast<T>(q[j]);
+  }
+  double* pred = ws->Output<double>(ids.size());
+  plan.PredictBatchNative(inputs, ids.size(), ws, pred);
+  for (size_t r = 0; r < ids.size(); ++r) {
+    out[ids[r]] = pred[r] * scale + mean;
+  }
+}
+
+}  // namespace
 
 void NeuroSketch::AnswerBatchVectorizedTo(
     const std::vector<QueryInstance>& queries, double* out) const {
@@ -498,46 +518,21 @@ void NeuroSketch::AnswerBatchVectorizedTo(
     buckets[leaf->leaf_id].push_back(i);
   }
   const size_t qdim = tree_.query_dim();
-  for (size_t m = 0; m < plans_.size(); ++m) {
-    const auto& ids = buckets[m];
-    if (ids.empty()) continue;
-    // Gather the bucket's inputs and stage its predictions in the arena:
-    // per-batch cost is bookkeeping only, the model math never allocates.
-    // When the f32 tier is active the gather marshals straight into the
-    // float arena — casting once per element during the copy instead of
-    // staging doubles and re-reading them for a separate narrowing pass
-    // (8 fewer bytes of traffic per element, same float bits).
-    double* pred = ws.Output(ids.size());
-    if (precision_ == PlanPrecision::kF32) {
-      float* inputs = ws.InputF(ids.size() * qdim);
-      for (size_t r = 0; r < ids.size(); ++r) {
-        const auto& q = queries[ids[r]].q;
-        float* dst = inputs + r * qdim;
-        for (size_t j = 0; j < qdim; ++j) dst[j] = static_cast<float>(q[j]);
-      }
-      plans_f32_[m].PredictBatchF32In(inputs, ids.size(), &ws, pred);
-    } else {
-      double* inputs = ws.Input(ids.size() * qdim);
-      for (size_t r = 0; r < ids.size(); ++r) {
-        const auto& q = queries[ids[r]].q;
-        std::copy(q.begin(), q.end(), inputs + r * qdim);
-      }
-      plans_[m].PredictBatch(inputs, ids.size(), &ws, pred);
+  OnTier(precision_, [&](const auto& plans) {
+    for (size_t m = 0; m < plans.size(); ++m) {
+      if (buckets[m].empty()) continue;
+      AnswerBucket(plans[m], queries, buckets[m], qdim, target_scale_[m],
+                   target_mean_[m], &ws, out);
     }
-    for (size_t r = 0; r < ids.size(); ++r) {
-      out[ids[r]] = pred[r] * target_scale_[m] + target_mean_[m];
-    }
-  }
+  });
 }
 
 size_t NeuroSketch::PlanBytes(PlanPrecision precision) const {
-  size_t bytes = 0;
-  if (precision == PlanPrecision::kF32) {
-    for (const auto& p : plans_f32_) bytes += p.SizeBytes();
-  } else {
-    for (const auto& p : plans_) bytes += p.SizeBytes();
-  }
-  return bytes;
+  return OnTier(precision, [](const auto& plans) {
+    size_t bytes = 0;
+    for (const auto& p : plans) bytes += p.SizeBytes();
+    return bytes;
+  });
 }
 
 void NeuroSketch::ExportBuildMetrics(metrics::MetricsRegistry* registry,

@@ -173,19 +173,16 @@ class NeuroSketch {
   /// f32 validation, and scalar-vs-plan benchmarks.
   double AnswerScalar(const QueryInstance& q) const;
 
+  /// \brief Answer a batch: allocating wrapper over
+  /// AnswerBatchVectorizedTo. Bit-identical to calling Answer per query.
   std::vector<double> AnswerBatch(
       const std::vector<QueryInstance>& queries) const;
 
-  /// \brief Batched variant: routes all queries first, then runs one
-  /// batched forward pass per partition model. Identical answers to
-  /// AnswerBatch, amortizing per-call overhead for analytics-style bursts.
-  std::vector<double> AnswerBatchVectorized(
-      const std::vector<QueryInstance>& queries) const;
-
-  /// \brief Allocation-free core of AnswerBatchVectorized: writes
-  /// queries.size() answers to `out` (caller-owned), staging all bucketing
-  /// scratch in the thread-local workspace arena. Zero heap allocations
-  /// once the calling thread's arena is warm.
+  /// \brief Batched answering into a caller-owned buffer: routes all
+  /// queries first, then runs one batched forward pass per partition model,
+  /// writing queries.size() answers to `out`. Bit-identical to Answer per
+  /// query. All bucketing scratch lives in the thread-local workspace
+  /// arena: zero heap allocations once the calling thread's arena is warm.
   void AnswerBatchVectorizedTo(const std::vector<QueryInstance>& queries,
                                double* out) const;
 
@@ -318,6 +315,13 @@ class NeuroSketch {
 
  private:
   size_t TrainerBytes() const;
+  /// Run `fn` on the plans of tier `precision` (plans_ or plans_f32_), so
+  /// code that serves from either tier is written once, as a generic
+  /// lambda over std::vector<nn::CompiledMlpT<T>>.
+  template <typename Fn>
+  decltype(auto) OnTier(PlanPrecision precision, Fn&& fn) const {
+    return precision == PlanPrecision::kF32 ? fn(plans_f32_) : fn(plans_);
+  }
   /// Compile and validate the tier `config` asks for (plan_precision,
   /// upgraded to kF32 by NEUROSKETCH_FORCE_F32_PLANS) over `validation`.
   /// Returns false when f64 was requested and nothing ran.
@@ -332,7 +336,7 @@ class NeuroSketch {
   mutable std::vector<nn::Mlp> models_;
   mutable internal::MovableFlag trainer_ready_;
   std::vector<nn::CompiledMlp> plans_;  // serving form, same indexing
-  std::vector<nn::CompiledMlpF32> plans_f32_;  // opt-in fast tier
+  std::vector<nn::CompiledMlpT<float>> plans_f32_;  // opt-in fast tier
   /// Tier availability (carried, validated, rebuildable) — survives
   /// ReleaseTier, which only drops the materialized plans.
   bool f32_available_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 namespace neurosketch {
 namespace nn {
@@ -11,8 +12,9 @@ Workspace& Workspace::ThreadLocal() {
   return ws;
 }
 
-CompiledMlp CompiledMlp::FromConfig(const MlpConfig& config) {
-  CompiledMlp plan;
+template <typename T>
+CompiledMlpT<T> CompiledMlpT<T>::FromConfig(const MlpConfig& config) {
+  CompiledMlpT plan;
   plan.config_ = config;
   size_t prev = config.in_dim;
   size_t off = 0;
@@ -31,10 +33,11 @@ CompiledMlp CompiledMlp::FromConfig(const MlpConfig& config) {
   };
   for (size_t h : config.hidden) add_layer(h, config.hidden_act);
   add_layer(config.out_dim, Activation::kIdentity);
-  plan.params_.assign(off, 0.0);
+  plan.params_.assign(off, T(0));
   return plan;
 }
 
+template <>
 CompiledMlp CompiledMlp::FromMlp(const Mlp& model) {
   CompiledMlp plan = FromConfig(model.config());
   assert(plan.layers_.size() == model.layers().size());
@@ -50,6 +53,7 @@ CompiledMlp CompiledMlp::FromMlp(const Mlp& model) {
   return plan;
 }
 
+template <>
 Mlp CompiledMlp::ToMlp() const {
   Mlp model(config_);
   assert(model.layers().size() == layers_.size());
@@ -65,101 +69,90 @@ Mlp CompiledMlp::ToMlp() const {
   return model;
 }
 
-double CompiledMlp::PredictOne(const double* x, Workspace* ws) const {
+template <typename T>
+CompiledMlpT<T> CompiledMlpT<T>::FromPlan(const CompiledMlp& plan) {
+  CompiledMlpT out = FromConfig(plan.config());
+  for (size_t i = 0; i < out.params_.size(); ++i) {
+    out.params_[i] = static_cast<T>(plan.params()[i]);
+  }
+  return out;
+}
+
+namespace {
+
+// The caller's double inputs as T: read in place for the f64 tier,
+// narrowed once into the arena's Input<T> buffer otherwise.
+template <typename T>
+const T* NativeInput(const double* x, size_t n, Workspace* ws) {
+  if constexpr (std::is_same_v<T, double>) {
+    return x;
+  } else {
+    T* xin = ws->Input<T>(n);
+    for (size_t i = 0; i < n; ++i) xin[i] = static_cast<T>(x[i]);
+    return xin;
+  }
+}
+
+}  // namespace
+
+template <typename T>
+double CompiledMlpT<T>::PredictOne(const double* x, Workspace* ws) const {
   assert(!layers_.empty() && config_.out_dim == 1);
-  double* ping = ws->Ping(max_width_);
-  double* pong = ws->Pong(max_width_);
-  // The first layer reads the caller's input in place; subsequent layers
-  // ping-pong between the two arena buffers.
-  const double* cur = x;
+  T* ping = ws->Ping<T>(max_width_);
+  T* pong = ws->Pong<T>(max_width_);
+  // The first layer reads the (native) input; subsequent layers ping-pong
+  // between the two arena buffers.
+  const T* cur = NativeInput<T>(x, config_.in_dim, ws);
   for (const PlanLayer& L : layers_) {
     FusedDenseForward(cur, 1, L.in, params_.data() + L.w_off,
                       params_.data() + L.b_off, L.act, ping, L.out);
     cur = ping;
     std::swap(ping, pong);
   }
-  return cur[0];
+  return static_cast<double>(cur[0]);
 }
 
-void CompiledMlp::PredictBatch(const double* x, size_t rows, Workspace* ws,
-                               double* out) const {
+template <typename T>
+void CompiledMlpT<T>::PredictBatch(const double* x, size_t rows,
+                                   Workspace* ws, double* out) const {
+  if (rows == 0) return;
+  PredictBatchNative(NativeInput<T>(x, rows * config_.in_dim, ws), rows, ws,
+                     out);
+}
+
+template <typename T>
+void CompiledMlpT<T>::PredictBatchNative(const T* x, size_t rows,
+                                         Workspace* ws, double* out) const {
   assert(!layers_.empty());
   if (rows == 0) return;
-  double* ping = ws->Ping(rows * max_width_);
-  double* pong = ws->Pong(rows * max_width_);
-  const double* cur = x;
+  T* ping = ws->Ping<T>(rows * max_width_);
+  T* pong = ws->Pong<T>(rows * max_width_);
+  // The f64 tier writes its last layer straight into `out`; other tiers
+  // stage it in the arena and widen.
+  T* last = nullptr;
+  if constexpr (std::is_same_v<T, double>) {
+    last = out;
+  } else {
+    last = ws->Output<T>(rows * config_.out_dim);
+  }
+  const T* cur = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
     const PlanLayer& L = layers_[i];
-    double* dst = (i + 1 == layers_.size()) ? out : ping;
+    T* dst = (i + 1 == layers_.size()) ? last : ping;
     FusedDenseForward(cur, rows, L.in, params_.data() + L.w_off,
                       params_.data() + L.b_off, L.act, dst, L.out);
     cur = dst;
     std::swap(ping, pong);
   }
+  if constexpr (!std::is_same_v<T, double>) {
+    for (size_t i = 0; i < rows * config_.out_dim; ++i) {
+      out[i] = static_cast<double>(last[i]);
+    }
+  }
 }
 
-CompiledMlpF32 CompiledMlpF32::FromPlan(const CompiledMlp& plan) {
-  CompiledMlpF32 f32;
-  f32.config_ = plan.config();
-  f32.layers_ = plan.layers();
-  f32.max_width_ = plan.max_width();
-  f32.params_.resize(plan.params().size());
-  for (size_t i = 0; i < f32.params_.size(); ++i) {
-    f32.params_[i] = static_cast<float>(plan.params()[i]);
-  }
-  return f32;
-}
-
-double CompiledMlpF32::PredictOne(const double* x, Workspace* ws) const {
-  assert(!layers_.empty() && config_.out_dim == 1);
-  float* ping = ws->PingF(max_width_);
-  float* pong = ws->PongF(max_width_);
-  // Narrow the caller's doubles into the arena once; the layer loop then
-  // runs entirely in float.
-  float* xin = ws->InputF(config_.in_dim);
-  for (size_t i = 0; i < config_.in_dim; ++i) {
-    xin[i] = static_cast<float>(x[i]);
-  }
-  const float* cur = xin;
-  for (const PlanLayer& L : layers_) {
-    FusedDenseForwardF32(cur, 1, L.in, params_.data() + L.w_off,
-                         params_.data() + L.b_off, L.act, ping, L.out);
-    cur = ping;
-    std::swap(ping, pong);
-  }
-  return static_cast<double>(cur[0]);
-}
-
-void CompiledMlpF32::PredictBatch(const double* x, size_t rows, Workspace* ws,
-                                  double* out) const {
-  if (rows == 0) return;
-  float* xin = ws->InputF(rows * config_.in_dim);
-  for (size_t i = 0; i < rows * config_.in_dim; ++i) {
-    xin[i] = static_cast<float>(x[i]);
-  }
-  PredictBatchF32In(xin, rows, ws, out);
-}
-
-void CompiledMlpF32::PredictBatchF32In(const float* x, size_t rows,
-                                       Workspace* ws, double* out) const {
-  assert(!layers_.empty());
-  if (rows == 0) return;
-  float* ping = ws->PingF(rows * max_width_);
-  float* pong = ws->PongF(rows * max_width_);
-  float* staged = ws->OutputF(rows * config_.out_dim);
-  const float* cur = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    const PlanLayer& L = layers_[i];
-    float* dst = (i + 1 == layers_.size()) ? staged : ping;
-    FusedDenseForwardF32(cur, rows, L.in, params_.data() + L.w_off,
-                         params_.data() + L.b_off, L.act, dst, L.out);
-    cur = dst;
-    std::swap(ping, pong);
-  }
-  for (size_t i = 0; i < rows * config_.out_dim; ++i) {
-    out[i] = static_cast<double>(staged[i]);
-  }
-}
+template class CompiledMlpT<double>;
+template class CompiledMlpT<float>;
 
 }  // namespace nn
 }  // namespace neurosketch

@@ -1,13 +1,16 @@
 // Compiled zero-allocation inference plans. A trained Mlp is a training
 // structure: per-layer Matrix objects, cached activations, gradient
-// buffers. CompiledMlp is its serving form — all layer weights and biases
-// packed into one contiguous flat buffer (in serialization order: per
-// layer, weights then bias) plus fixed layer metadata — executed with the
-// fused GEMM+bias+activation kernel (tensor/matrix.h) against a reusable
-// Workspace arena. After warm-up a forward pass performs zero heap
-// allocations and is bit-identical to Mlp::Predict / Mlp::PredictOne.
+// buffers. CompiledMlpT<T> is its serving form — all layer weights and
+// biases packed into one contiguous flat buffer (in serialization order:
+// per layer, weights then bias) plus fixed layer metadata — executed with
+// the fused GEMM+bias+activation kernel (tensor/matrix.h) against a
+// reusable Workspace arena. After warm-up a forward pass performs zero heap
+// allocations.
 //
-// CompiledMlpF32 is the opt-in single-precision tier: the same flat-buffer
+// The element type is the precision tier. CompiledMlp (T = double) is the
+// reference: bit-identical to Mlp::Predict / Mlp::PredictOne, and the only
+// form that converts to and from a trainable Mlp or serializes.
+// CompiledMlpT<float> is the opt-in single-precision tier: the same
 // layout narrowed to float (half the footprint, twice the SIMD lanes). It
 // is NOT bit-identical to the f64 reference; core/NeuroSketch validates
 // its divergence against an error bound before serving from it.
@@ -15,6 +18,7 @@
 #define NEUROSKETCH_NN_INFERENCE_PLAN_H_
 
 #include <cstddef>
+#include <tuple>
 #include <vector>
 
 #include "nn/mlp.h"
@@ -33,23 +37,23 @@ struct PlanLayer {
 
 /// \brief Reusable scratch arena for compiled-plan execution. Buffers grow
 /// monotonically and are never shrunk, so a serving thread stops allocating
-/// once it has seen its largest batch. Not thread-safe; use ThreadLocal()
-/// (one arena per thread) or own one per worker.
+/// once it has seen its largest batch. Each element type (double for the
+/// f64 tier, float for the f32 tier) has its own set of buffers. Not
+/// thread-safe; use ThreadLocal() (one arena per thread) or own one per
+/// worker.
 class Workspace {
  public:
-  /// \brief Ping/pong layer-activation buffers of at least n doubles each.
-  double* Ping(size_t n) { return Ensure(&ping_, n); }
-  double* Pong(size_t n) { return Ensure(&pong_, n); }
-  /// \brief Input-marshalling buffer (batch gather) of at least n doubles.
-  double* Input(size_t n) { return Ensure(&input_, n); }
-  /// \brief Output staging buffer of at least n doubles.
-  double* Output(size_t n) { return Ensure(&output_, n); }
-
-  /// \brief Single-precision twins for the f32 plan tier.
-  float* PingF(size_t n) { return Ensure(&ping_f_, n); }
-  float* PongF(size_t n) { return Ensure(&pong_f_, n); }
-  float* InputF(size_t n) { return Ensure(&input_f_, n); }
-  float* OutputF(size_t n) { return Ensure(&output_f_, n); }
+  /// \brief Ping/pong layer-activation buffers of at least n elements each.
+  template <typename T>
+  T* Ping(size_t n) { return Ensure(&Bufs<T>().ping, n); }
+  template <typename T>
+  T* Pong(size_t n) { return Ensure(&Bufs<T>().pong, n); }
+  /// \brief Input-marshalling buffer (batch gather) of at least n elements.
+  template <typename T>
+  T* Input(size_t n) { return Ensure(&Bufs<T>().input, n); }
+  /// \brief Output staging buffer of at least n elements.
+  template <typename T>
+  T* Output(size_t n) { return Ensure(&Bufs<T>().output, n); }
 
   /// \brief Per-leaf bucketing scratch for vectorized batch answering: at
   /// least n index buckets, the first n cleared (capacity retained), so a
@@ -65,108 +69,104 @@ class Workspace {
 
  private:
   template <typename T>
+  struct Buffers {
+    std::vector<T> ping, pong, input, output;
+  };
+  template <typename T>
+  Buffers<T>& Bufs() { return std::get<Buffers<T>>(buffers_); }
+  template <typename T>
   static T* Ensure(std::vector<T>* v, size_t n) {
     if (v->size() < n) v->resize(n);
     return v->data();
   }
-  std::vector<double> ping_, pong_, input_, output_;
-  std::vector<float> ping_f_, pong_f_, input_f_, output_f_;
+  std::tuple<Buffers<double>, Buffers<float>> buffers_;
   std::vector<std::vector<size_t>> buckets_;
 };
 
-/// \brief Execution plan compiled from a trained Mlp: flat parameter
+/// \brief Execution plan with parameters of type T: flat parameter
 /// buffer + per-layer geometry, no per-call allocation, enum-dispatched
-/// activations. Parameters are bit-identical copies of the source model.
-class CompiledMlp {
+/// activations. Inputs arrive as doubles (narrowed into the arena when T
+/// is float) and results are returned as doubles.
+template <typename T>
+class CompiledMlpT {
  public:
-  CompiledMlp() = default;
+  CompiledMlpT() = default;
 
-  /// \brief Pack `model`'s parameters into a plan.
-  static CompiledMlp FromMlp(const Mlp& model);
+  /// \brief f64 only: pack `model`'s parameters into a plan
+  /// (bit-identical copies of the source model).
+  static CompiledMlpT FromMlp(const Mlp& model);
 
   /// \brief Lay out a plan for `config` with zeroed parameters; the caller
   /// fills params() afterwards (deserialization path).
-  static CompiledMlp FromConfig(const MlpConfig& config);
+  static CompiledMlpT FromConfig(const MlpConfig& config);
 
-  /// \brief Reconstruct the trainable form; parameters round-trip
-  /// bit-exactly. Used to rehydrate the scalar reference path after Load.
+  /// \brief Narrow (or copy) an f64 plan's parameters into a T plan. Each
+  /// parameter is static_cast<T> of the f64 one (round-to-nearest), a
+  /// deterministic function of the f64 plan, so rebuilding from the f64
+  /// reference always reproduces the same plan.
+  static CompiledMlpT FromPlan(const CompiledMlpT<double>& plan);
+
+  /// \brief f64 only: reconstruct the trainable form; parameters
+  /// round-trip bit-exactly. Used to rehydrate the scalar reference path
+  /// after Load.
   Mlp ToMlp() const;
 
   /// \brief Single-input forward pass; x has in_dim() doubles. Zero heap
   /// allocations once `ws` is warm. out_dim() must be 1.
   double PredictOne(const double* x, Workspace* ws) const;
 
-  /// \brief Batched forward pass over `rows` row-major inputs
+  /// \brief Batched forward pass over `rows` row-major double inputs
   /// (rows x in_dim); writes rows x out_dim results to `out`. out must not
-  /// alias x. Bit-identical to Mlp::Predict on the same batch.
+  /// alias x. Row r is bit-identical to PredictOne on row r; for T = double
+  /// the batch is bit-identical to Mlp::Predict on the same batch.
   void PredictBatch(const double* x, size_t rows, Workspace* ws,
                     double* out) const;
+
+  /// \brief Batched forward pass whose inputs are already of type T — the
+  /// batched serving path gathers bucket inputs straight into the arena's
+  /// Input<T> buffer, skipping a staging copy (and, for float, a separate
+  /// narrowing pass). Same bits as PredictBatch on the same (narrowed)
+  /// inputs. x may be the workspace's Input<T> buffer.
+  void PredictBatchNative(const T* x, size_t rows, Workspace* ws,
+                          double* out) const;
 
   bool empty() const { return layers_.empty(); }
   size_t in_dim() const { return config_.in_dim; }
   size_t out_dim() const { return config_.out_dim; }
   size_t num_params() const { return params_.size(); }
-  size_t SizeBytes() const { return params_.size() * sizeof(double); }
+  /// \brief Resident flat-buffer footprint (the f32 plan's is half the
+  /// f64 plan's).
+  size_t SizeBytes() const { return params_.size() * sizeof(T); }
   const MlpConfig& config() const { return config_; }
   const std::vector<PlanLayer>& layers() const { return layers_; }
   size_t max_width() const { return max_width_; }
 
   /// \brief Flat parameter buffer in serialization order (per layer:
   /// weights row-major, then bias) — what SaveCompiledMlp streams.
-  const std::vector<double>& params() const { return params_; }
-  std::vector<double>& mutable_params() { return params_; }
+  const std::vector<T>& params() const { return params_; }
+  std::vector<T>& mutable_params() { return params_; }
 
  private:
   MlpConfig config_;
   std::vector<PlanLayer> layers_;
-  std::vector<double> params_;
+  std::vector<T> params_;
   size_t max_width_ = 0;  // widest layer output, sizes the ping/pong pair
 };
 
-/// \brief Single-precision clone of a CompiledMlp: the same flat-buffer
-/// layout with every parameter narrowed to float (round-to-nearest, a
-/// deterministic function of the f64 plan, so rebuilding from the f64
-/// reference always reproduces the same f32 plan). Inputs arrive as
-/// doubles and are narrowed into the arena; the result is widened back to
-/// double. Zero heap allocations once the workspace is warm.
-class CompiledMlpF32 {
- public:
-  CompiledMlpF32() = default;
+// The Mlp conversions exist for the f64 reference tier only.
+template <>
+CompiledMlpT<double> CompiledMlpT<double>::FromMlp(const Mlp& model);
+template <>
+Mlp CompiledMlpT<double>::ToMlp() const;
 
-  /// \brief Narrow `plan`'s parameters into an f32 plan.
-  static CompiledMlpF32 FromPlan(const CompiledMlp& plan);
+extern template class CompiledMlpT<double>;
+extern template class CompiledMlpT<float>;
 
-  /// \brief Single-input forward pass; x has in_dim() doubles.
-  double PredictOne(const double* x, Workspace* ws) const;
-
-  /// \brief Batched forward pass over `rows` row-major double inputs;
-  /// widens the rows x out_dim float results into `out`. Row r is
-  /// bit-identical to PredictOne on row r (same float accumulation order).
-  void PredictBatch(const double* x, size_t rows, Workspace* ws,
-                    double* out) const;
-
-  /// \brief Batched forward pass whose inputs are already float — the
-  /// batched serving path gathers bucket inputs straight into the float
-  /// arena, skipping the per-call f64 staging buffer and its narrowing
-  /// pass. Same bits as PredictBatch on the same (narrowed) inputs. x may
-  /// be the workspace's InputF buffer.
-  void PredictBatchF32In(const float* x, size_t rows, Workspace* ws,
-                         double* out) const;
-
-  bool empty() const { return layers_.empty(); }
-  size_t in_dim() const { return config_.in_dim; }
-  size_t out_dim() const { return config_.out_dim; }
-  size_t num_params() const { return params_.size(); }
-  /// \brief Resident flat-buffer footprint — half the f64 plan's.
-  size_t SizeBytes() const { return params_.size() * sizeof(float); }
-  const MlpConfig& config() const { return config_; }
-
- private:
-  MlpConfig config_;
-  std::vector<PlanLayer> layers_;
-  std::vector<float> params_;
-  size_t max_width_ = 0;
-};
+// CompiledMlp names the f64 reference plan throughout the code base; the
+// CompiledMlpF32 alias keeps perfbench/, which names the f32 plan by it,
+// building unchanged.
+using CompiledMlp = CompiledMlpT<double>;
+using CompiledMlpF32 = CompiledMlpT<float>;
 
 }  // namespace nn
 }  // namespace neurosketch

@@ -459,7 +459,7 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
   // one dedicated read to keep the full 4-way split. Every histogram
   // update is deferred to after the final promise resolves. This keeps
   // the tracing-on single-query p50 within the <2% budget that
-  // tools/check_serving_overhead.sh gates.
+  // tools/check_bench_gates.py (overhead) gates.
   Clock::time_point infer_start{};
   Clock::time_point infer_end{};
   // Delta composition window (scans plus exact recompute over base +

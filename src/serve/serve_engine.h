@@ -18,10 +18,10 @@
 //
 // Batching semantics are unchanged from the single-queue engine: time/
 // size bounded micro-batches per (dataset, query function), one
-// vectorized forward pass per batch (NeuroSketch::AnswerBatchVectorized:
+// vectorized forward pass per batch (NeuroSketch::AnswerBatchVectorizedTo:
 // flat-buffer fused kernels + thread-local workspace, zero heap
 // allocations per query), exact-engine fallback and per-store error
-// budgets. Answers are bit-identical to serial NeuroSketch::AnswerBatch.
+// budgets. Answers are bit-identical to per-query NeuroSketch::Answer.
 //
 // Observability: every counter and stage histogram is kept per shard
 // (merged at Snapshot), so the export carries both per-store and

@@ -76,16 +76,22 @@ void GemmTransBKernel(const double* a, const double* b, double* o, size_t m,
 // Bias + activation epilogue of the fused kernel. Kept as per-activation
 // loops (not a switch in the inner loop) so each case auto-vectorizes; the
 // arithmetic matches AddRowVector followed by ApplyActivation exactly.
-NS_TARGET_CLONES
-void FusedEpilogue(double* yrow, const double* b, size_t n, Activation act) {
+//
+// The fused kernel and its epilogue are templates over the element type:
+// one source serves the f64 and f32 plan tiers. GCC applies target_clones
+// to each template instantiation, so double and float each get their own
+// per-ISA clones and ifunc resolver (`nm -C` on the object lists them).
+template <typename T>
+NS_TARGET_CLONES void FusedEpilogue(T* yrow, const T* b, size_t n,
+                                    Activation act) {
   switch (act) {
     case Activation::kIdentity:
       for (size_t j = 0; j < n; ++j) yrow[j] += b[j];
       return;
     case Activation::kRelu:
       for (size_t j = 0; j < n; ++j) {
-        const double v = yrow[j] + b[j];
-        yrow[j] = v > 0.0 ? v : 0.0;
+        const T v = yrow[j] + b[j];
+        yrow[j] = v > T(0) ? v : T(0);
       }
       return;
     case Activation::kTanh:
@@ -93,72 +99,27 @@ void FusedEpilogue(double* yrow, const double* b, size_t n, Activation act) {
       return;
     case Activation::kSigmoid:
       for (size_t j = 0; j < n; ++j) {
-        yrow[j] = 1.0 / (1.0 + std::exp(-(yrow[j] + b[j])));
+        yrow[j] = T(1) / (T(1) + std::exp(-(yrow[j] + b[j])));
       }
       return;
   }
 }
 
-NS_TARGET_CLONES
-void FusedDenseKernel(const double* x, size_t m, size_t k, const double* w,
-                      const double* b, Activation act, double* y, size_t n) {
+template <typename T>
+NS_TARGET_CLONES void FusedDenseKernel(const T* x, size_t m, size_t k,
+                                       const T* w, const T* b, Activation act,
+                                       T* y, size_t n) {
   for (size_t i = 0; i < m; ++i) {
-    const double* xrow = x + i * k;
-    double* yrow = y + i * n;
-    for (size_t j = 0; j < n; ++j) yrow[j] = 0.0;
+    const T* xrow = x + i * k;
+    T* yrow = y + i * n;
+    for (size_t j = 0; j < n; ++j) yrow[j] = T(0);
     for (size_t p = 0; p < k; ++p) {
-      const double xv = xrow[p];
-      if (xv == 0.0) continue;
-      const double* wrow = w + p * n;
+      const T xv = xrow[p];
+      if (xv == T(0)) continue;
+      const T* wrow = w + p * n;
       for (size_t j = 0; j < n; ++j) yrow[j] += xv * wrow[j];
     }
     FusedEpilogue(yrow, b, n, act);
-  }
-}
-
-// The f32 kernels below are explicit clones of their f64 counterparts
-// rather than a shared template: GCC's target_clones attribute (the ifunc
-// SIMD dispatch above) does not apply to function templates, and the ifunc
-// dispatch is the point of these kernels. Keep the loop bodies in lockstep
-// when editing either tier; the exhaustive Activation switches make the
-// compiler flag a tier that misses a new enum value.
-NS_TARGET_CLONES
-void FusedEpilogueF32(float* yrow, const float* b, size_t n, Activation act) {
-  switch (act) {
-    case Activation::kIdentity:
-      for (size_t j = 0; j < n; ++j) yrow[j] += b[j];
-      return;
-    case Activation::kRelu:
-      for (size_t j = 0; j < n; ++j) {
-        const float v = yrow[j] + b[j];
-        yrow[j] = v > 0.0f ? v : 0.0f;
-      }
-      return;
-    case Activation::kTanh:
-      for (size_t j = 0; j < n; ++j) yrow[j] = std::tanh(yrow[j] + b[j]);
-      return;
-    case Activation::kSigmoid:
-      for (size_t j = 0; j < n; ++j) {
-        yrow[j] = 1.0f / (1.0f + std::exp(-(yrow[j] + b[j])));
-      }
-      return;
-  }
-}
-
-NS_TARGET_CLONES
-void FusedDenseKernelF32(const float* x, size_t m, size_t k, const float* w,
-                         const float* b, Activation act, float* y, size_t n) {
-  for (size_t i = 0; i < m; ++i) {
-    const float* xrow = x + i * k;
-    float* yrow = y + i * n;
-    for (size_t j = 0; j < n; ++j) yrow[j] = 0.0f;
-    for (size_t p = 0; p < k; ++p) {
-      const float xv = xrow[p];
-      if (xv == 0.0f) continue;
-      const float* wrow = w + p * n;
-      for (size_t j = 0; j < n; ++j) yrow[j] += xv * wrow[j];
-    }
-    FusedEpilogueF32(yrow, b, n, act);
   }
 }
 
@@ -238,9 +199,9 @@ void FusedDenseForward(const double* x, size_t m, size_t k, const double* w,
   FusedDenseKernel(x, m, k, w, b, act, y, n);
 }
 
-void FusedDenseForwardF32(const float* x, size_t m, size_t k, const float* w,
-                          const float* b, Activation act, float* y, size_t n) {
-  FusedDenseKernelF32(x, m, k, w, b, act, y, n);
+void FusedDenseForward(const float* x, size_t m, size_t k, const float* w,
+                       const float* b, Activation act, float* y, size_t n) {
+  FusedDenseKernel(x, m, k, w, b, act, y, n);
 }
 
 void ColumnSums(const Matrix& m, Matrix* out) {

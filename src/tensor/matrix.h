@@ -100,17 +100,16 @@ void ColumnSums(const Matrix& m, Matrix* out);
 /// accumulation order as Gemm + AddRowVector + elementwise activation
 /// (zero-initialized ikj accumulation, bias added last), so results are
 /// bit-identical to the unfused three-pass pipeline. y must not alias x.
+///
+/// The float overload serves the opt-in f32 compiled-plan tier from the
+/// same kernel source: half the memory traffic and twice the SIMD lanes,
+/// same accumulation order (in float). It is not bit-comparable to the
+/// f64 kernel; core/NeuroSketch validates the f32 tier against the f64
+/// reference and falls back when the divergence exceeds its error bound.
 void FusedDenseForward(const double* x, size_t m, size_t k, const double* w,
                        const double* b, Activation act, double* y, size_t n);
-
-/// \brief Single-precision clone of FusedDenseForward for the opt-in f32
-/// compiled-plan tier: half the memory traffic and twice the SIMD lanes of
-/// the f64 kernel, same zero-allocation contract and same accumulation
-/// order (in float). Not bit-comparable to the f64 kernel by construction;
-/// the caller (core/NeuroSketch) validates the f32 tier against the f64
-/// reference and falls back when the divergence exceeds its error bound.
-void FusedDenseForwardF32(const float* x, size_t m, size_t k, const float* w,
-                          const float* b, Activation act, float* y, size_t n);
+void FusedDenseForward(const float* x, size_t m, size_t k, const float* w,
+                       const float* b, Activation act, float* y, size_t n);
 
 }  // namespace neurosketch
 

@@ -151,6 +151,58 @@ TEST(CompiledMlpTest, SerializationMatchesMlpByteForByte) {
   }
 }
 
+// Both precision tiers share one plan template; every tier must keep the
+// batch/single-row and native-input contracts on every activation.
+template <typename T>
+class CompiledMlpTierTest : public ::testing::Test {};
+using PlanElementTypes = ::testing::Types<double, float>;
+TYPED_TEST_SUITE(CompiledMlpTierTest, PlanElementTypes);
+
+TYPED_TEST(CompiledMlpTierTest, BatchNativeAndNarrowingContracts) {
+  using T = TypeParam;
+  Rng rng(303);
+  for (nn::Activation act :
+       {nn::Activation::kIdentity, nn::Activation::kRelu,
+        nn::Activation::kTanh, nn::Activation::kSigmoid}) {
+    nn::MlpConfig cfg;
+    cfg.in_dim = 3;
+    cfg.hidden = {11, 6};
+    cfg.hidden_act = act;
+    const nn::CompiledMlp ref = nn::CompiledMlp::FromMlp(
+        nn::Mlp(cfg, /*seed=*/40 + static_cast<uint64_t>(act)));
+    const auto plan = nn::CompiledMlpT<T>::FromPlan(ref);
+
+    // FromPlan narrows (or, for double, copies) every parameter.
+    ASSERT_EQ(plan.params().size(), ref.params().size());
+    for (size_t i = 0; i < ref.params().size(); ++i) {
+      EXPECT_EQ(plan.params()[i], static_cast<T>(ref.params()[i])) << i;
+    }
+
+    nn::Workspace ws;
+    for (size_t rows : {1u, 2u, 7u, 64u}) {
+      std::vector<double> x(rows * cfg.in_dim);
+      for (double& v : x) v = rng.Uniform(-1.0, 1.0);
+      std::vector<double> batch(rows);
+      plan.PredictBatch(x.data(), rows, &ws, batch.data());
+      // Row r of a batch is bit-identical to the single-row pass.
+      for (size_t r = 0; r < rows; ++r) {
+        EXPECT_EQ(batch[r], plan.PredictOne(x.data() + r * cfg.in_dim, &ws))
+            << "act " << static_cast<int>(act) << " rows " << rows << " row "
+            << r;
+      }
+      // The native-input entry point serves the same bits on the same
+      // narrowed inputs.
+      std::vector<T> xn(x.size());
+      for (size_t i = 0; i < x.size(); ++i) xn[i] = static_cast<T>(x[i]);
+      std::vector<double> native(rows);
+      plan.PredictBatchNative(xn.data(), rows, &ws, native.data());
+      for (size_t r = 0; r < rows; ++r) {
+        EXPECT_EQ(native[r], batch[r]) << "rows " << rows << " row " << r;
+      }
+    }
+  }
+}
+
 // Build a sketch over a real (synthetic-data) query function, as the
 // serving path would.
 Result<NeuroSketch> BuildSketch(uint64_t seed, size_t train_threads,
@@ -189,18 +241,15 @@ Result<NeuroSketch> BuildSketch(uint64_t seed, size_t train_threads,
 
 TEST(InferencePlanGoldenTest, AnswerSurfacesBitIdentical) {
   // Several randomly-built sketches: every answering surface (compiled
-  // Answer, scalar reference, serial batch, vectorized batch) must return
-  // the exact same doubles.
+  // Answer, scalar reference, batch) must return the exact same doubles.
   for (uint64_t seed : {11u, 223u, 4999u}) {
     std::vector<QueryInstance> probes;
     auto sketch = BuildSketch(seed, /*train_threads=*/0, &probes);
     ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
     EXPECT_TRUE(sketch.value().compiled());
 
-    const auto serial = sketch.value().AnswerBatch(probes);
-    const auto vectorized = sketch.value().AnswerBatchVectorized(probes);
-    ASSERT_EQ(serial.size(), probes.size());
-    ASSERT_EQ(vectorized.size(), probes.size());
+    const auto batch = sketch.value().AnswerBatch(probes);
+    ASSERT_EQ(batch.size(), probes.size());
     const double scale = AnswerScale(sketch.value(), probes);
     for (size_t i = 0; i < probes.size(); ++i) {
       const double compiled = sketch.value().Answer(probes[i]);
@@ -208,8 +257,7 @@ TEST(InferencePlanGoldenTest, AnswerSurfacesBitIdentical) {
       // All compiled surfaces serve the same bits as Answer regardless of
       // tier; only the scalar-reference comparison is precision-aware.
       ExpectMatchesScalar(sketch.value(), compiled, scalar, scale);
-      EXPECT_EQ(compiled, serial[i]) << "probe " << i << " seed " << seed;
-      EXPECT_EQ(compiled, vectorized[i]) << "probe " << i << " seed " << seed;
+      EXPECT_EQ(compiled, batch[i]) << "probe " << i << " seed " << seed;
     }
   }
 }
@@ -290,10 +338,9 @@ TEST(InferencePlanGoldenTest, BatchVectorizedIsZeroAllocationWhenWarm) {
   EXPECT_EQ(after - before, 0u)
       << "AnswerBatchVectorizedTo allocated on the warm batch path";
 
-  // And it answers exactly what the serial surface answers.
-  const auto serial = sketch.value().AnswerBatch(probes);
+  // And it answers exactly what per-query Answer answers.
   for (size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_EQ(out[i], serial[i]) << "probe " << i;
+    EXPECT_EQ(out[i], sketch.value().Answer(probes[i])) << "probe " << i;
   }
 }
 

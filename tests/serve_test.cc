@@ -196,12 +196,13 @@ TEST(SketchStoreTest, ImportFromCatalogSharesSketches) {
 
 // The headline concurrency smoke test: N client threads submit M queries
 // each through the micro-batching engine; every answer must be
-// bit-identical to the serial NeuroSketch::AnswerBatch result.
+// bit-identical to the serial, per-query NeuroSketch::Answer result.
 TEST(ServeEngineTest, ConcurrentClientsBitIdenticalToSerial) {
   constexpr size_t kClients = 8;
   constexpr size_t kPerClient = 200;
   ServeFixture f = ServeFixture::Make(kClients * kPerClient);
-  const std::vector<double> expected = f.sketch.AnswerBatch(f.queries);
+  std::vector<double> expected;
+  for (const auto& q : f.queries) expected.push_back(f.sketch.Answer(q));
 
   SketchStore store;
   ExactEngine engine(&f.table);

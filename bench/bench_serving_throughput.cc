@@ -2,10 +2,11 @@
 // sweep over the serve/ subsystem, reporting QPS and latency percentiles,
 // plus the headline comparison the serving subsystem exists for:
 // micro-batched serving vs per-query Answer dispatch on the same sketch,
-// a single-query latency section (p50/p95/p99 in ns) comparing the
-// Matrix-allocating scalar path against the compiled zero-allocation
-// inference plans in both precision tiers (f64 reference, opt-in f32
-// with its validated max divergence and footprint), and a vectorized-
+// a single-query latency section (p50/p95/p99 in ns) of the compiled
+// zero-allocation inference plans in both precision tiers (f64
+// reference, opt-in f32 with its validated max divergence and
+// footprint; bench_micro_kernels compares them against the Matrix-based
+// scalar Mlp forward pass), and a vectorized-
 // batch section per tier (the float-marshalled gather path). Emits a BENCH_serving.json snapshot (written
 // to the working directory) so the perf trajectory can be tracked across
 // commits; the snapshot also carries the observability sections — the
@@ -1233,7 +1234,7 @@ void WriteBreakdown(FILE* f, const char* name,
 
 Status WriteJson(const std::string& path, const std::vector<RunResult>& rows,
                  double per_query_qps8, double batched_qps8,
-                 const LatencyNs& scalar, const LatencyNs& compiled,
+                 const LatencyNs& compiled,
                  const TierReport& f32,
                  const std::vector<BatchedRow>& batched,
                  const ObservabilityReport& obs,
@@ -1268,18 +1269,13 @@ Status WriteJson(const std::string& path, const std::vector<RunResult>& rows,
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"single_query\": {\n"
-               "    \"scalar\": {\"p50_ns\": %.0f, \"p95_ns\": %.0f, "
-               "\"p99_ns\": %.0f},\n"
                "    \"compiled_plan\": {\"p50_ns\": %.0f, \"p95_ns\": %.0f, "
                "\"p99_ns\": %.0f},\n"
                "    \"compiled_plan_f32\": {\"p50_ns\": %.0f, "
                "\"p95_ns\": %.0f, \"p99_ns\": %.0f},\n"
-               "    \"p50_speedup\": %.2f,\n"
                "    \"f32_p50_speedup_vs_f64_plan\": %.2f\n  },\n",
-               scalar.p50, scalar.p95, scalar.p99, compiled.p50, compiled.p95,
-               compiled.p99, f32.latency.p50, f32.latency.p95, f32.latency.p99,
-               compiled.p50 > 0.0 ? scalar.p50 / compiled.p50 : 0.0,
-               f32.latency.p50 > 0.0 ? compiled.p50 / f32.latency.p50 : 0.0);
+               compiled.p50, compiled.p95, compiled.p99, f32.latency.p50,
+               f32.latency.p95, f32.latency.p99, f32.latency.p50 > 0.0 ? compiled.p50 / f32.latency.p50 : 0.0);
   std::fprintf(f,
                "  \"f32_tier\": {\"active\": %s, \"max_divergence\": %.3g, "
                "\"error_bound\": %.3g, \"plan_bytes_f64\": %zu, "
@@ -1497,13 +1493,10 @@ int Main(int argc, char** argv) {
   // "compiled_plan" rows would silently measure the wrong tier.
   if (ns.has_f32_plans()) (void)ns.SelectPrecision(PlanPrecision::kF64);
 
-  // Single-query forward-pass latency: Matrix-allocating scalar reference
-  // vs the compiled flat-buffer plan (same routing, same bits out), then
-  // the opt-in f32 tier (validated against the f64 reference first).
+  // Single-query forward-pass latency: the compiled f64 flat-buffer plan,
+  // then the opt-in f32 tier (validated against the f64 reference first).
   std::printf("\nsingle-query latency (ns):\n%-18s %10s %10s %10s\n", "path",
               "p50", "p95", "p99");
-  const LatencyNs scalar_lat = MeasureSingleQuery(
-      wb.test_q, [&ns](const QueryInstance& q) { return ns.AnswerScalar(q); });
   const LatencyNs plan_lat = MeasureSingleQuery(
       wb.test_q, [&ns](const QueryInstance& q) { return ns.Answer(q); });
 
@@ -1531,16 +1524,13 @@ int Main(int argc, char** argv) {
   f32.latency = f32_lat;
   (void)ns.SelectPrecision(PlanPrecision::kF64);
 
-  std::printf("%-18s %10.0f %10.0f %10.0f\n", "scalar", scalar_lat.p50,
-              scalar_lat.p95, scalar_lat.p99);
   std::printf("%-18s %10.0f %10.0f %10.0f\n", "compiled_plan", plan_lat.p50,
               plan_lat.p95, plan_lat.p99);
   std::printf("%-18s %10.0f %10.0f %10.0f\n", "compiled_plan_f32",
               f32_lat.p50, f32_lat.p95, f32_lat.p99);
-  std::printf("p50 speedup: scalar/f64 %.2fx, f64/f32 %.2fx "
+  std::printf("p50 speedup: f64/f32 %.2fx "
               "(f32 max divergence %.3g, bound %.3g, plan bytes %zu -> "
               "%zu)\n",
-              plan_lat.p50 > 0.0 ? scalar_lat.p50 / plan_lat.p50 : 0.0,
               f32_lat.p50 > 0.0 ? plan_lat.p50 / f32_lat.p50 : 0.0,
               f32.max_divergence, f32.error_bound, f32.plan_bytes_f64,
               f32.plan_bytes);
@@ -1796,7 +1786,7 @@ int Main(int argc, char** argv) {
   print_compaction("refresh ON", compaction.on);
 
   Status st = WriteJson(out_path, rows, per_query_qps8, batched_qps8,
-                        scalar_lat, plan_lat, f32, batched, obs,
+                        plan_lat, f32, batched, obs,
                         multi_core, zipf, paged, streaming, compaction);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());

@@ -70,7 +70,7 @@ class PagedCatalogReader {
 
   /// \brief Deserialize one sketch image (seek + bounded read +
   /// NeuroSketch::LoadFrom). The loaded sketch is warm-and-lean: active
-  /// tier materialized, trainer and inactive tiers cold.
+  /// tier materialized, inactive tiers cold.
   Result<NeuroSketch> LoadEntry(const PagedCatalogEntry& entry) const;
 
  private:

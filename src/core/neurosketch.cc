@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <mutex>
 #include <ostream>
 
 #include "nn/serialize.h"
@@ -30,11 +29,31 @@ bool EnvFlagSet(const char* name) {
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
-// Serializes lazy trainer rebuilds (EnsureTrainer on a const sketch).
-// Process-wide rather than per-sketch so NeuroSketch keeps its implicit
-// copy/move operations; the rebuild is a cold path (once per sketch after
-// Load/ReleaseTrainer), so cross-sketch serialization is harmless.
-std::mutex g_trainer_rebuild_mu;
+// Keeps the (query, answer) pairs whose answer is defined (NaN marks e.g.
+// AVG over an empty range). Every kept query must have dimension `qdim`
+// (kFirstDim: the first kept query's), and at least two must remain.
+constexpr size_t kFirstDim = SIZE_MAX;
+
+Status KeepDefined(const std::vector<QueryInstance>& queries,
+                   const std::vector<double>& answers, size_t qdim,
+                   std::vector<QueryInstance>* q_ok,
+                   std::vector<double>* a_ok) {
+  q_ok->reserve(queries.size());
+  a_ok->reserve(answers.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (std::isnan(answers[i])) continue;
+    if (qdim == kFirstDim) qdim = queries[i].dim();
+    if (queries[i].dim() != qdim) {
+      return Status::InvalidArgument("inconsistent query dimensionality");
+    }
+    q_ok->push_back(queries[i]);
+    a_ok->push_back(answers[i]);
+  }
+  if (q_ok->size() < 2) {
+    return Status::InvalidArgument("need at least 2 defined training answers");
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -60,25 +79,9 @@ Result<NeuroSketch> NeuroSketch::Train(
   if (queries.size() != answers.size()) {
     return Status::InvalidArgument("queries/answers size mismatch");
   }
-  // Drop undefined answers (e.g. AVG over an empty range).
   std::vector<QueryInstance> q_ok;
   std::vector<double> a_ok;
-  q_ok.reserve(queries.size());
-  a_ok.reserve(answers.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (std::isnan(answers[i])) continue;
-    q_ok.push_back(queries[i]);
-    a_ok.push_back(answers[i]);
-  }
-  if (q_ok.size() < 2) {
-    return Status::InvalidArgument("need at least 2 defined training answers");
-  }
-  const size_t qdim = q_ok[0].dim();
-  for (const auto& q : q_ok) {
-    if (q.dim() != qdim) {
-      return Status::InvalidArgument("inconsistent query dimensionality");
-    }
-  }
+  NS_RETURN_NOT_OK(KeepDefined(queries, answers, kFirstDim, &q_ok, &a_ok));
 
   NeuroSketch sketch;
   sketch.stats_.training_queries = q_ok.size();
@@ -98,53 +101,17 @@ Result<NeuroSketch> NeuroSketch::Train(
   Timer train_timer;
   auto leaves = sketch.tree_.Leaves();
   sketch.stats_.num_partitions = leaves.size();
-  sketch.models_.resize(leaves.size());
   sketch.plans_.resize(leaves.size());
-  sketch.target_mean_.assign(leaves.size(), 0.0);
-  sketch.target_scale_.assign(leaves.size(), 1.0);
-
-  // Leaf models are independent: each derives its init and shuffle seeds
-  // from its leaf id alone and writes only its own slots, so training them
+  sketch.target_mean_.resize(leaves.size());
+  sketch.target_scale_.resize(leaves.size());
+  // Leaf models are independent (see TrainLeaf), so training them
   // concurrently on the shared pool reproduces the sequential build
   // bit-for-bit regardless of thread count or completion order.
-  auto train_leaf = [&](size_t li) {
-    const auto* leaf = leaves[li];
-    const int id = leaf->leaf_id;
-    const auto& ids = leaf->query_ids;
-    nn::Mlp& model = sketch.models_[id];
-    model = nn::Mlp(nn::MlpConfig::Paper(qdim, config.n_layers, config.l_first,
-                                         config.l_rest),
-                    config.seed + id);
-    if (!ids.empty()) {
-      // Per-leaf target standardization keeps the MSE well-scaled across
-      // query functions with very different answer magnitudes.
-      std::vector<double> targets;
-      targets.reserve(ids.size());
-      for (size_t i : ids) targets.push_back(a_ok[i]);
-      const double mean = stats::Mean(targets);
-      double scale = stats::Stddev(targets);
-      if (scale <= 1e-12) scale = 1.0;
-      sketch.target_mean_[id] = mean;
-      sketch.target_scale_[id] = scale;
-
-      Matrix inputs(ids.size(), qdim);
-      Matrix outputs(ids.size(), 1);
-      for (size_t i = 0; i < ids.size(); ++i) {
-        const auto& q = q_ok[ids[i]];
-        for (size_t jj = 0; jj < qdim; ++jj) inputs(i, jj) = q.q[jj];
-        outputs(i, 0) = (a_ok[ids[i]] - mean) / scale;
-      }
-      nn::TrainConfig tc = config.train;
-      tc.seed = config.train.seed + static_cast<uint64_t>(id) * 1000003ULL;
-      nn::TrainRegressor(&model, inputs, outputs, tc);
-    }
-    // An untrained (empty-leaf) model still gets a plan: it predicts the
-    // initialization's output, matching the previous behavior.
-    sketch.plans_[id] = nn::CompiledMlp::FromMlp(model);
-  };
-  ThreadPool::Shared().ParallelFor(leaves.size(), config.train_threads,
-                                   train_leaf);
-  sketch.trainer_ready_.store(true);
+  ThreadPool::Shared().ParallelFor(
+      leaves.size(), config.train_threads, [&](size_t li) {
+        sketch.TrainLeaf(leaves[li]->leaf_id, leaves[li]->query_ids, q_ok,
+                         a_ok, config);
+      });
   sketch.stats_.train_seconds = train_timer.ElapsedSeconds();
 
   Timer calib_timer;
@@ -152,6 +119,46 @@ Result<NeuroSketch> NeuroSketch::Train(
     sketch.stats_.calibrate_seconds = calib_timer.ElapsedSeconds();
   }
   return sketch;
+}
+
+void NeuroSketch::TrainLeaf(int id, const std::vector<size_t>& rows,
+                            const std::vector<QueryInstance>& queries,
+                            const std::vector<double>& answers,
+                            const NeuroSketchConfig& config) {
+  const size_t qdim = tree_.query_dim();
+  // The Mlp (parameters + gradient buffers) lives only while this leaf
+  // trains; the compiled f64 plan is what the sketch keeps.
+  nn::Mlp model(nn::MlpConfig::Paper(qdim, config.n_layers, config.l_first,
+                                     config.l_rest),
+                config.seed + id);
+  target_mean_[id] = 0.0;
+  target_scale_[id] = 1.0;
+  if (!rows.empty()) {
+    // Per-leaf target standardization keeps the MSE well-scaled across
+    // query functions with very different answer magnitudes.
+    std::vector<double> targets;
+    targets.reserve(rows.size());
+    for (size_t i : rows) targets.push_back(answers[i]);
+    const double mean = stats::Mean(targets);
+    double scale = stats::Stddev(targets);
+    if (scale <= 1e-12) scale = 1.0;
+    target_mean_[id] = mean;
+    target_scale_[id] = scale;
+
+    Matrix inputs(rows.size(), qdim);
+    Matrix outputs(rows.size(), 1);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const auto& q = queries[rows[i]];
+      for (size_t j = 0; j < qdim; ++j) inputs(i, j) = q.q[j];
+      outputs(i, 0) = (answers[rows[i]] - mean) / scale;
+    }
+    nn::TrainConfig tc = config.train;
+    tc.seed = config.train.seed + static_cast<uint64_t>(id) * 1000003ULL;
+    nn::TrainRegressor(&model, inputs, outputs, tc);
+  }
+  // An untrained (empty-leaf) model still gets a plan: it predicts the
+  // initialization's output.
+  plans_[id] = nn::CompiledMlp::FromMlp(model);
 }
 
 bool NeuroSketch::EnableRequestedTier(
@@ -189,22 +196,10 @@ Status NeuroSketch::RetrainLeaves(const std::vector<int>& leaf_ids,
   }
   if (ids.empty()) return Status::OK();
 
-  const size_t qdim = tree_.query_dim();
   std::vector<QueryInstance> q_ok;
   std::vector<double> a_ok;
-  q_ok.reserve(queries.size());
-  a_ok.reserve(answers.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (std::isnan(answers[i])) continue;
-    if (queries[i].dim() != qdim) {
-      return Status::InvalidArgument("inconsistent query dimensionality");
-    }
-    q_ok.push_back(queries[i]);
-    a_ok.push_back(answers[i]);
-  }
-  if (q_ok.size() < 2) {
-    return Status::InvalidArgument("need at least 2 defined training answers");
-  }
+  NS_RETURN_NOT_OK(
+      KeepDefined(queries, answers, tree_.query_dim(), &q_ok, &a_ok));
 
   // Re-gather each retrained leaf's training set by routing through the
   // FIXED tree — the partition is untouched, which is the whole point of
@@ -220,50 +215,13 @@ Status NeuroSketch::RetrainLeaves(const std::vector<int>& leaf_ids,
     if (wanted[leaf->leaf_id]) members[leaf->leaf_id].push_back(i);
   }
 
-  // The untouched leaves' trainable forms must survive the partial
-  // rebuild (Save and AnswerScalar read them all); materialize them
-  // before overwriting the retrained slots.
-  EnsureTrainer();
-
-  // Identical per-leaf training to Train's train_leaf: same init seed,
-  // same standardization (stddev floored to 1), same shuffle-seed
-  // derivation — retraining a leaf here is bit-identical to a clean
-  // rebuild of that leaf over the same partition and training set.
-  auto retrain_leaf = [&](size_t k) {
-    const int id = ids[k];
-    const auto& idxs = members[id];
-    nn::Mlp& model = models_[id];
-    model = nn::Mlp(nn::MlpConfig::Paper(qdim, config.n_layers, config.l_first,
-                                         config.l_rest),
-                    config.seed + id);
-    target_mean_[id] = 0.0;
-    target_scale_[id] = 1.0;
-    if (!idxs.empty()) {
-      std::vector<double> targets;
-      targets.reserve(idxs.size());
-      for (size_t i : idxs) targets.push_back(a_ok[i]);
-      const double mean = stats::Mean(targets);
-      double scale = stats::Stddev(targets);
-      if (scale <= 1e-12) scale = 1.0;
-      target_mean_[id] = mean;
-      target_scale_[id] = scale;
-
-      Matrix inputs(idxs.size(), qdim);
-      Matrix outputs(idxs.size(), 1);
-      for (size_t i = 0; i < idxs.size(); ++i) {
-        const auto& q = q_ok[idxs[i]];
-        for (size_t jj = 0; jj < qdim; ++jj) inputs(i, jj) = q.q[jj];
-        outputs(i, 0) = (a_ok[idxs[i]] - mean) / scale;
-      }
-      nn::TrainConfig tc = config.train;
-      tc.seed = config.train.seed + static_cast<uint64_t>(id) * 1000003ULL;
-      nn::TrainRegressor(&model, inputs, outputs, tc);
-    }
-    plans_[id] = nn::CompiledMlp::FromMlp(model);
-  };
-  ThreadPool::Shared().ParallelFor(ids.size(), config.train_threads,
-                                   retrain_leaf);
-  trainer_ready_.store(true);
+  // The same per-leaf training as Train, so retraining a leaf here is
+  // bit-identical to a clean rebuild of that leaf over the same partition
+  // and training set; untouched leaves keep their plans as they are.
+  ThreadPool::Shared().ParallelFor(
+      ids.size(), config.train_threads, [&](size_t k) {
+        TrainLeaf(ids[k], members[ids[k]], q_ok, a_ok, config);
+      });
 
   // The f32 tier was validated against the OLD leaf parameters; serving
   // it over the new ones would be unvalidated. Drop it and re-run the
@@ -391,44 +349,11 @@ size_t NeuroSketch::ReleaseTier(PlanPrecision precision) {
   return freed;
 }
 
-void NeuroSketch::EnsureTrainer() const {
-  if (trainer_ready_.load()) return;
-  std::lock_guard<std::mutex> lock(g_trainer_rebuild_mu);
-  if (trainer_ready_.load()) return;
-  // ToMlp round-trips the f64 parameters bit-exactly, so the rebuilt
-  // reference models answer identically to the originally trained ones.
-  std::vector<nn::Mlp> rebuilt;
-  rebuilt.reserve(plans_.size());
-  for (const auto& p : plans_) rebuilt.push_back(p.ToMlp());
-  models_ = std::move(rebuilt);
-  trainer_ready_.store(true);
-}
-
-size_t NeuroSketch::ReleaseTrainer() {
-  const size_t freed = TrainerBytes();
-  std::vector<nn::Mlp>().swap(models_);
-  trainer_ready_.store(false);
-  return freed;
-}
-
-size_t NeuroSketch::TrainerBytes() const {
-  if (!trainer_ready_.load()) return 0;
-  // Each trainable layer holds its parameters plus same-shaped gradient
-  // buffers; the cached forward activations are batch-sized transients
-  // (empty outside a training step) and are not counted.
-  size_t bytes = 0;
-  for (const auto& m : models_) {
-    bytes += 2 * m.num_params() * sizeof(double);
-  }
-  return bytes;
-}
-
 size_t NeuroSketch::ResidentBytes() const {
   size_t bytes = routing_doubles_ * sizeof(double);
   bytes += 2 * plans_.size() * sizeof(double);  // per-leaf mean + scale
   bytes += PlanBytes(PlanPrecision::kF64);
   bytes += PlanBytes(PlanPrecision::kF32);
-  bytes += TrainerBytes();
   return bytes;
 }
 
@@ -447,16 +372,15 @@ double NeuroSketch::Answer(const QueryInstance& q) const {
 }
 
 double NeuroSketch::AnswerScalar(const QueryInstance& q) const {
-  // The reference models rebuild lazily after Load/ReleaseTrainer —
-  // bit-exact, so callers cannot tell whether they were kept resident.
-  EnsureTrainer();
   const auto* leaf = tree_.Route(q);
   if (leaf == nullptr || leaf->leaf_id < 0 ||
-      static_cast<size_t>(leaf->leaf_id) >= models_.size()) {
+      static_cast<size_t>(leaf->leaf_id) >= plans_.size()) {
     return std::nan("");
   }
   const int id = leaf->leaf_id;
-  const double raw = models_[id].PredictOne(q.q);
+  // ToMlp round-trips the f64 parameters bit-exactly, so the reference
+  // model is the one TrainLeaf compiled, whether trained or loaded.
+  const double raw = plans_[id].ToMlp().PredictOne(q.q);
   return raw * target_scale_[id] + target_mean_[id];
 }
 
@@ -554,8 +478,8 @@ void NeuroSketch::ExportBuildMetrics(metrics::MetricsRegistry* registry,
                      "Serialized sketch size (the paper's storage metric)");
   registry->SetGauge(prefix + "resident_bytes",
                      static_cast<double>(ResidentBytes()),
-                     "In-memory sketch footprint: materialized tiers + "
-                     "trainer (moves with EnsureTier/ReleaseTier)");
+                     "In-memory sketch footprint: routing + scales + "
+                     "materialized tiers (moves with EnsureTier/ReleaseTier)");
   double aqc_max = 0.0, aqc_sum = 0.0;
   for (double a : stats_.leaf_aqc) {
     aqc_sum += a;
@@ -588,7 +512,7 @@ size_t NeuroSketch::SizeBytes() const {
   // Exactly the bytes Save() writes, in the same order: header fields,
   // routing block, per-leaf scales, serialized models, precision trailer.
   size_t bytes = 3 * sizeof(uint64_t);  // qdim, routing size, model count
-  bytes += tree_.EncodeRouting().size() * sizeof(double);
+  bytes += routing_doubles_ * sizeof(double);
   bytes += 2 * plans_.size() * sizeof(double);  // per-leaf mean + scale
   for (const auto& p : plans_) bytes += nn::SerializedModelBytes(p);
   bytes += kPrecisionTrailerBytes;
@@ -612,8 +536,6 @@ Status NeuroSketch::SaveTo(std::ostream* out_stream) const {
   out.write(reinterpret_cast<const char*>(&rsize), sizeof(rsize));
   out.write(reinterpret_cast<const char*>(routing.data()),
             static_cast<std::streamsize>(rsize * sizeof(double)));
-  // plans_ is what the loop below serializes; counting it (rather than
-  // models_) keeps the header honest if the two vectors ever diverge.
   const uint64_t nmodels = plans_.size();
   out.write(reinterpret_cast<const char*>(&nmodels), sizeof(nmodels));
   out.write(reinterpret_cast<const char*>(target_mean_.data()),
@@ -685,9 +607,7 @@ Result<NeuroSketch> NeuroSketch::LoadFrom(std::istream* in_stream) {
   sketch.plans_.reserve(nmodels);
   for (uint64_t i = 0; i < nmodels; ++i) {
     // Compile-on-load: the plan is the deserialization target (one
-    // contiguous parameter read). The trainable form is NOT rehydrated
-    // here — it rebuilds lazily (bit-exactly) on the first AnswerScalar,
-    // so a loaded sketch comes up at its lean serving footprint.
+    // contiguous parameter read).
     NS_ASSIGN_OR_RETURN(nn::CompiledMlp plan, nn::LoadCompiledMlp(&in));
     sketch.plans_.push_back(std::move(plan));
   }

@@ -8,7 +8,6 @@
 #ifndef NEUROSKETCH_CORE_NEUROSKETCH_H_
 #define NEUROSKETCH_CORE_NEUROSKETCH_H_
 
-#include <atomic>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "core/partitioner.h"
 #include "index/kdtree.h"
 #include "nn/inference_plan.h"
-#include "nn/mlp.h"
 #include "nn/trainer.h"
 #include "query/engine.h"
 #include "query/query.h"
@@ -25,31 +23,6 @@
 #include "util/status.h"
 
 namespace neurosketch {
-namespace internal {
-
-/// \brief An atomic<bool> that is copyable/movable by value so classes
-/// holding one keep their implicit copy and move operations. Copies
-/// transfer the value, not any in-flight synchronization — fine for
-/// "already materialized" latches whose protected state is copied along
-/// with the flag in the same (externally synchronized) operation.
-class MovableFlag {
- public:
-  MovableFlag() = default;
-  explicit MovableFlag(bool v) : v_(v) {}
-  MovableFlag(const MovableFlag& o) : v_(o.load()) {}
-  MovableFlag& operator=(const MovableFlag& o) {
-    store(o.load());
-    return *this;
-  }
-  bool load() const { return v_.load(std::memory_order_acquire); }
-  void store(bool v) { v_.store(v, std::memory_order_release); }
-
- private:
-  std::atomic<bool> v_{false};
-};
-
-}  // namespace internal
-
 /// \brief Numeric tier the compiled inference plans execute in. kF64 is
 /// the accuracy reference (bit-identical to the scalar Mlp path); kF32 is
 /// the opt-in fast tier: half the flat-buffer footprint, twice the SIMD
@@ -168,9 +141,11 @@ class NeuroSketch {
   double Answer(const QueryInstance& q) const;
 
   /// \brief Reference implementation of Answer on the uncompiled Mlp
-  /// (Matrix-allocating scalar path, always f64). Bit-identical to Answer
-  /// when the active precision is kF64; kept for golden equivalence tests,
-  /// f32 validation, and scalar-vs-plan benchmarks.
+  /// (Matrix-allocating scalar path, always f64). Each call rebuilds the
+  /// routed leaf's Mlp from its f64 plan (CompiledMlp::ToMlp round-trips
+  /// the parameters bit-exactly), so it is an oracle, not a serving path.
+  /// Bit-identical to Answer when the active precision is kF64; kept for
+  /// golden equivalence tests. Thread-safe like Answer.
   double AnswerScalar(const QueryInstance& q) const;
 
   /// \brief Answer a batch: allocating wrapper over
@@ -193,12 +168,9 @@ class NeuroSketch {
   size_t SizeBytes() const;
 
   /// \brief Bytes this sketch currently holds in memory: the routing
-  /// block, per-leaf scales, every *materialized* plan tier, and (when
-  /// resident) the trainable Mlp forms
-  /// (parameters + gradient buffers; training activation caches are
-  /// transient and excluded). Unlike SizeBytes() this moves with
-  /// EnsureTier/ReleaseTier/ReleaseTrainer — it is the admission unit of
-  /// the serving buffer pool.
+  /// block, per-leaf scales and every *materialized* plan tier. Unlike
+  /// SizeBytes() this moves with EnsureTier/ReleaseTier — it is the
+  /// admission unit of the serving buffer pool.
   size_t ResidentBytes() const;
 
   size_t num_partitions() const { return plans_.size(); }
@@ -228,11 +200,6 @@ class NeuroSketch {
                                             : !plans_.empty();
   }
 
-  /// \brief True when the trainable Mlp forms (the scalar reference path)
-  /// are resident. Train leaves them resident; Load does not — they
-  /// rebuild lazily (bit-exactly, via CompiledMlp::ToMlp) on the first
-  /// AnswerScalar, or explicitly via EnsureTrainer.
-  bool trainer_resident() const { return trainer_ready_.load(); }
   /// \brief Max |f32 - f64| divergence measured by the last f32
   /// validation pass, in standardized units (0 when never validated).
   double f32_max_divergence() const { return f32_max_divergence_; }
@@ -259,17 +226,6 @@ class NeuroSketch {
   /// and re-Loading later — and for the currently active tier. Same
   /// thread-safety contract as EnsureTier.
   size_t ReleaseTier(PlanPrecision precision);
-
-  /// \brief Materialize the trainable Mlp forms from the compiled f64
-  /// plans (bit-exact; parameters round-trip through ToMlp). Safe to
-  /// call concurrently with const use — AnswerScalar calls it lazily.
-  void EnsureTrainer() const;
-
-  /// \brief Drop the trainable Mlp forms, returning the bytes freed.
-  /// AnswerScalar transparently rebuilds them later; Answer and the
-  /// batched paths never need them. Same thread-safety contract as
-  /// EnsureTier.
-  size_t ReleaseTrainer();
 
   /// \brief Compile the f32 plan tier and validate it against the f64
   /// reference on `validation` queries. Activates f32 serving and returns
@@ -302,8 +258,7 @@ class NeuroSketch {
   /// rebuilds from them on Load by narrowing, so round-trips are
   /// bit-exact in every tier. Load comes up
   /// warm-and-lean: only the active tier's plans are materialized
-  /// (carried inactive tiers rebuild through EnsureTier) and the
-  /// trainable Mlp forms rebuild lazily on first AnswerScalar. The
+  /// (carried inactive tiers rebuild through EnsureTier). The
   /// stream variants serve the paged catalog format, which concatenates
   /// many sketch images into one file. LoadFrom returns a Status (never
   /// aborts) on truncated or hostile input: every length field is checked
@@ -314,7 +269,16 @@ class NeuroSketch {
   static Result<NeuroSketch> LoadFrom(std::istream* in);
 
  private:
-  size_t TrainerBytes() const;
+  /// Train leaf `id` from its init seed on rows `rows` of (queries,
+  /// answers) and compile the result into plans_[id], setting the leaf's
+  /// target standardization. The one per-leaf body Train and RetrainLeaves
+  /// share: init seed `config.seed + id`, shuffle seed `config.train.seed
+  /// + id * 1000003`, so a leaf's parameters depend only on its id and
+  /// rows. Writes only leaf `id`'s slots, so leaves train concurrently.
+  void TrainLeaf(int id, const std::vector<size_t>& rows,
+                 const std::vector<QueryInstance>& queries,
+                 const std::vector<double>& answers,
+                 const NeuroSketchConfig& config);
   /// Run `fn` on the plans of tier `precision` (plans_ or plans_f32_), so
   /// code that serves from either tier is written once, as a generic
   /// lambda over std::vector<nn::CompiledMlpT<T>>.
@@ -329,13 +293,9 @@ class NeuroSketch {
                            const NeuroSketchConfig& config);
 
   QuerySpaceKdTree tree_;
-  /// Trainable/reference forms, indexed by leaf_id. Mutable + latch:
-  /// rebuilt lazily (and bit-exactly) from plans_ under a rebuild mutex
-  /// when a const caller needs the scalar reference path after Load or
-  /// ReleaseTrainer.
-  mutable std::vector<nn::Mlp> models_;
-  mutable internal::MovableFlag trainer_ready_;
-  std::vector<nn::CompiledMlp> plans_;  // serving form, same indexing
+  /// The f64 plans, indexed by leaf_id: the one resident form of the
+  /// trained parameters. They serve, save, and rebuild the f32 tier.
+  std::vector<nn::CompiledMlp> plans_;
   std::vector<nn::CompiledMlpT<float>> plans_f32_;  // opt-in fast tier
   /// Tier availability (carried, validated, rebuildable) — survives
   /// ReleaseTier, which only drops the materialized plans.

@@ -196,13 +196,19 @@ void ServeEngine::Route(Submission s) {
   if (!shard.ring.Push(std::move(s))) {
     shard.backpressure_waits.fetch_add(1, std::memory_order_relaxed);
   }
-  // Publish -> fence -> sleeping check pairs with the dispatcher's
-  // sleeping store -> fence -> ring check (a Dekker handshake): one side
-  // always observes the other, so a published submission can never strand
-  // while the dispatcher sleeps. In the hot case (dispatcher busy) this
-  // is one relaxed load and no lock.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (shard.sleeping.load(std::memory_order_relaxed)) {
+  // Sleep/wake handshake, producer half: publish, then take the sleeping
+  // flag with a read-modify-write. Every write to `sleeping`, on either
+  // side, is a seq_cst exchange, so all of them sit in one modification
+  // order and each reads the value written just before it. Take the
+  // dispatcher's exchange(true) before it re-checks the ring and waits.
+  // If it comes before ours in that order, the first producer exchange
+  // after it (ours or an earlier one) reads `true` and rings the cv. If
+  // it comes after ours, every write between the two is an RMW, so it
+  // reads from the release sequence our exchange heads and synchronizes
+  // with it: its ring re-check sees our publish. Neither side can miss
+  // the other. In the hot case (dispatcher busy) this is one locked
+  // exchange and no lock.
+  if (shard.sleeping.exchange(false, std::memory_order_seq_cst)) {
     // Locking (empty section) serializes with the sleep transition so the
     // notify cannot fire in the window between the dispatcher's re-check
     // and its cv.wait.
@@ -324,13 +330,12 @@ void ServeEngine::DispatchLoop(Shard* shard) {
       if (stopping && shard->pending_count == 0 && shard->ring.Empty()) {
         return;
       }
-      // Sleep/wake handshake: declare intent to sleep, fence, then
-      // re-check the ring — the Dekker counterpart of Route's
-      // publish/fence/check sequence.
-      shard->sleeping.store(true, std::memory_order_seq_cst);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
+      // Sleep/wake handshake, dispatcher half: declare intent to sleep
+      // with an RMW, then re-check the ring (see Route for why one side
+      // always observes the other).
+      shard->sleeping.exchange(true, std::memory_order_seq_cst);
       if (!shard->ring.Empty() || stop_.load(std::memory_order_relaxed)) {
-        shard->sleeping.store(false, std::memory_order_relaxed);
+        shard->sleeping.exchange(false, std::memory_order_seq_cst);
         continue;
       }
       if (have_deadline) {
@@ -338,7 +343,7 @@ void ServeEngine::DispatchLoop(Shard* shard) {
       } else {
         shard->cv.wait(lock);
       }
-      shard->sleeping.store(false, std::memory_order_relaxed);
+      shard->sleeping.exchange(false, std::memory_order_seq_cst);
       continue;
     }
 
@@ -363,32 +368,66 @@ void ServeEngine::DispatchLoop(Shard* shard) {
   }
 }
 
+void ServeEngine::AnswerCounters::Tick(double us, double value,
+                                       bool used_sketch, PlanPrecision tier) {
+  latency.Add(us);
+  queries.fetch_add(1, std::memory_order_relaxed);
+  if (used_sketch) {
+    sketch_answers.fetch_add(1, std::memory_order_relaxed);
+    // Ticked together with sketch_answers so the f32 counter is always a
+    // consistent subset.
+    if (tier == PlanPrecision::kF32) {
+      f32_sketch_answers.fetch_add(1, std::memory_order_relaxed);
+    }
+  } else if (std::isnan(value)) {
+    failed_answers.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    fallback_answers.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void ServeEngine::AnswerCounters::TickDelta(bool exact) {
+  (exact ? delta_exact_answers : delta_corrected_answers)
+      .fetch_add(1, std::memory_order_relaxed);
+}
+
+void ServeEngine::AnswerCounters::Reset() {
+  for (std::atomic<uint64_t>* c :
+       {&queries, &sketch_answers, &f32_sketch_answers, &fallback_answers,
+        &failed_answers, &delta_corrected_answers, &delta_exact_answers}) {
+    c->store(0, std::memory_order_relaxed);
+  }
+  latency.Reset();
+}
+
+StoreStatsSnapshot ServeEngine::AnswerCounters::Load() const {
+  StoreStatsSnapshot out;
+  out.queries = queries.load(std::memory_order_relaxed);
+  out.sketch_answers = sketch_answers.load(std::memory_order_relaxed);
+  out.f32_sketch_answers = f32_sketch_answers.load(std::memory_order_relaxed);
+  out.fallback_answers = fallback_answers.load(std::memory_order_relaxed);
+  out.failed_answers = failed_answers.load(std::memory_order_relaxed);
+  out.delta_corrected_answers =
+      delta_corrected_answers.load(std::memory_order_relaxed);
+  out.delta_exact_answers = delta_exact_answers.load(std::memory_order_relaxed);
+  out.fallback_rate = out.queries > 0
+                          ? static_cast<double>(out.fallback_answers) /
+                                static_cast<double>(out.queries)
+                          : 0.0;
+  out.latency = LatencyBreakdown::From(latency);
+  return out;
+}
+
 double ServeEngine::Fulfill(Shard* shard, Request* r, double value,
                             bool used_sketch, PlanPrecision tier,
                             StoreCounters* sc, Clock::time_point* now_out) {
   const Clock::time_point now = Clock::now();
   if (now_out != nullptr) *now_out = now;  // free timestamp for tracing
   const double us = MicrosBetween(r->enqueued, now);
-  shard->latency.Add(us);
-  sc->latency.Add(us);
-  shard->queries.fetch_add(1, std::memory_order_relaxed);
-  sc->queries.fetch_add(1, std::memory_order_relaxed);
-  if (used_sketch) {
-    shard->sketch_answers.fetch_add(1, std::memory_order_relaxed);
-    sc->sketch_answers.fetch_add(1, std::memory_order_relaxed);
-    // Ticked together with sketch_answers (and before the promise
-    // resolves) so the f32 counter is always a consistent subset.
-    if (tier == PlanPrecision::kF32) {
-      shard->f32_sketch_answers.fetch_add(1, std::memory_order_relaxed);
-      sc->f32_sketch_answers.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else if (std::isnan(value)) {
-    shard->failed_answers.fetch_add(1, std::memory_order_relaxed);
-    sc->failed_answers.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    shard->fallback_answers.fetch_add(1, std::memory_order_relaxed);
-    sc->fallback_answers.fetch_add(1, std::memory_order_relaxed);
-  }
+  // Counted before the promise resolves, so a client that Snapshots on
+  // receipt sees its own answer.
+  shard->answers.Tick(us, value, used_sketch, tier);
+  sc->answers.Tick(us, value, used_sketch, tier);
   if (r->wave != nullptr) {
     r->wave->results[r->wave_slot] = ServeResult{value, used_sketch};
     if (r->wave->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -633,16 +672,15 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
         // Non-decomposable aggregate recomputed exactly over base+delta:
         // counted as a fallback answer (used_sketch=false) plus the
         // delta_exact sub-counter.
-        shard->delta_exact_answers.fetch_add(1, std::memory_order_relaxed);
-        sc->delta_exact_answers.fetch_add(1, std::memory_order_relaxed);
+        shard->answers.TickDelta(/*exact=*/true);
+        sc->answers.TickDelta(/*exact=*/true);
         total_us = Fulfill(shard, &(*batch)[i], answers[i], false,
                            PlanPrecision::kF64, sc, fulfill_now);
         served_as = "exact";
       } else {
         if (modes[i] == 1) {
-          shard->delta_corrected_answers.fetch_add(1,
-                                                   std::memory_order_relaxed);
-          sc->delta_corrected_answers.fetch_add(1, std::memory_order_relaxed);
+          shard->answers.TickDelta(/*exact=*/false);
+          sc->answers.TickDelta(/*exact=*/false);
         }
         const bool genuine_answer = !std::isnan(answers[i]);
         total_us = Fulfill(shard, &(*batch)[i], answers[i], genuine_answer,
@@ -736,12 +774,13 @@ ServeStats ServeEngine::Snapshot() const {
   s.per_shard.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     const Shard& sh = *shards_[i];
+    const StoreStatsSnapshot a = sh.answers.Load();
     ShardStatsSnapshot sd;
     sd.shard = i;
-    sd.queries = sh.queries.load(std::memory_order_relaxed);
-    sd.sketch_answers = sh.sketch_answers.load(std::memory_order_relaxed);
-    sd.fallback_answers = sh.fallback_answers.load(std::memory_order_relaxed);
-    sd.failed_answers = sh.failed_answers.load(std::memory_order_relaxed);
+    sd.queries = a.queries;
+    sd.sketch_answers = a.sketch_answers;
+    sd.fallback_answers = a.fallback_answers;
+    sd.failed_answers = a.failed_answers;
     sd.batches = sh.batches.load(std::memory_order_relaxed);
     sd.budget_trips = sh.budget_trips.load(std::memory_order_relaxed);
     sd.backpressure_waits =
@@ -750,21 +789,18 @@ ServeStats ServeEngine::Snapshot() const {
         sd.batches > 0
             ? static_cast<double>(sd.queries) / static_cast<double>(sd.batches)
             : 0.0;
-    sd.latency = LatencyBreakdown::From(sh.latency);
+    sd.latency = a.latency;
 
-    s.queries += sd.queries;
-    s.sketch_answers += sd.sketch_answers;
-    s.f32_sketch_answers +=
-        sh.f32_sketch_answers.load(std::memory_order_relaxed);
-    s.fallback_answers += sd.fallback_answers;
-    s.failed_answers += sd.failed_answers;
-    s.delta_corrected_answers +=
-        sh.delta_corrected_answers.load(std::memory_order_relaxed);
-    s.delta_exact_answers +=
-        sh.delta_exact_answers.load(std::memory_order_relaxed);
+    s.queries += a.queries;
+    s.sketch_answers += a.sketch_answers;
+    s.f32_sketch_answers += a.f32_sketch_answers;
+    s.fallback_answers += a.fallback_answers;
+    s.failed_answers += a.failed_answers;
+    s.delta_corrected_answers += a.delta_corrected_answers;
+    s.delta_exact_answers += a.delta_exact_answers;
     s.batches += sd.batches;
     s.budget_trips += sd.budget_trips;
-    latency.AddFrom(sh.latency);
+    latency.AddFrom(sh.answers.latency);
     if (options_.stage_tracing) {
       stage_queue.AddFrom(sh.stage_queue);
       stage_assembly.AddFrom(sh.stage_assembly);
@@ -816,24 +852,9 @@ ServeStats ServeEngine::Snapshot() const {
   }
   s.per_store.reserve(stores.size());
   for (const auto& [sc, demoted] : stores) {
-    StoreStatsSnapshot ss;
+    StoreStatsSnapshot ss = sc->answers.Load();
     ss.store = sc->display;
-    ss.queries = sc->queries.load(std::memory_order_relaxed);
-    ss.sketch_answers = sc->sketch_answers.load(std::memory_order_relaxed);
-    ss.f32_sketch_answers =
-        sc->f32_sketch_answers.load(std::memory_order_relaxed);
-    ss.fallback_answers = sc->fallback_answers.load(std::memory_order_relaxed);
-    ss.failed_answers = sc->failed_answers.load(std::memory_order_relaxed);
-    ss.delta_corrected_answers =
-        sc->delta_corrected_answers.load(std::memory_order_relaxed);
-    ss.delta_exact_answers =
-        sc->delta_exact_answers.load(std::memory_order_relaxed);
     ss.demoted = demoted;
-    ss.fallback_rate = ss.queries > 0
-                           ? static_cast<double>(ss.fallback_answers) /
-                                 static_cast<double>(ss.queries)
-                           : 0.0;
-    ss.latency = LatencyBreakdown::From(sc->latency);
     s.per_store.push_back(std::move(ss));
   }
   std::sort(s.per_store.begin(), s.per_store.end(),
@@ -851,17 +872,10 @@ void ServeEngine::ResetStats() {
   for (auto& sh : shards_) locks.emplace_back(sh->mu);
   for (auto& shp : shards_) {
     Shard& sh = *shp;
-    sh.queries.store(0, std::memory_order_relaxed);
-    sh.sketch_answers.store(0, std::memory_order_relaxed);
-    sh.f32_sketch_answers.store(0, std::memory_order_relaxed);
-    sh.fallback_answers.store(0, std::memory_order_relaxed);
-    sh.failed_answers.store(0, std::memory_order_relaxed);
-    sh.delta_corrected_answers.store(0, std::memory_order_relaxed);
-    sh.delta_exact_answers.store(0, std::memory_order_relaxed);
+    sh.answers.Reset();
     sh.batches.store(0, std::memory_order_relaxed);
     sh.budget_trips.store(0, std::memory_order_relaxed);
     sh.backpressure_waits.store(0, std::memory_order_relaxed);
-    sh.latency.Reset();
     sh.stage_queue.Reset();
     sh.stage_assembly.Reset();
     sh.stage_inference.Reset();
@@ -869,15 +883,7 @@ void ServeEngine::ResetStats() {
     sh.stage_delta.Reset();
     for (auto& [key, st] : sh.keys) {
       (void)key;
-      if (st.counters == nullptr) continue;
-      st.counters->queries.store(0, std::memory_order_relaxed);
-      st.counters->sketch_answers.store(0, std::memory_order_relaxed);
-      st.counters->f32_sketch_answers.store(0, std::memory_order_relaxed);
-      st.counters->fallback_answers.store(0, std::memory_order_relaxed);
-      st.counters->failed_answers.store(0, std::memory_order_relaxed);
-      st.counters->delta_corrected_answers.store(0, std::memory_order_relaxed);
-      st.counters->delta_exact_answers.store(0, std::memory_order_relaxed);
-      st.counters->latency.Reset();
+      if (st.counters != nullptr) st.counters->answers.Reset();
     }
   }
   slow_queries_.Clear();
@@ -973,7 +979,7 @@ void ServeEngine::ExportMetrics(metrics::MetricsRegistry* registry,
   };
   {
     LatencyHistogram latency;
-    for (const auto& sh : shards_) latency.AddFrom(sh->latency);
+    for (const auto& sh : shards_) latency.AddFrom(sh->answers.latency);
     copy_hist(prefix + "latency_us", latency,
               "Submit->answer latency, microseconds");
   }

@@ -207,11 +207,10 @@ class ServeEngine {
     std::shared_ptr<Wave> wave;
   };
 
-  /// Per-store lock-free counters, updated on the fulfill path and read
-  /// by Snapshot. Owned via shared_ptr so ExecuteBatch can update them
-  /// after dropping the shard lock.
-  struct StoreCounters {
-    std::string display;  // "dataset/agg(col N)"
+  /// The answer counters kept once per shard and once per store: relaxed
+  /// lock-free atomics plus the submit->answer latency histogram, ticked
+  /// on the fulfill path and read by Snapshot.
+  struct AnswerCounters {
     std::atomic<uint64_t> queries{0};
     std::atomic<uint64_t> sketch_answers{0};
     std::atomic<uint64_t> f32_sketch_answers{0};
@@ -220,6 +219,24 @@ class ServeEngine {
     std::atomic<uint64_t> delta_corrected_answers{0};
     std::atomic<uint64_t> delta_exact_answers{0};
     LatencyHistogram latency;
+
+    /// Counts one delivered answer that took `us` from submit. `tier` is
+    /// only read when `used_sketch`; a non-sketch NaN counts as failed.
+    void Tick(double us, double value, bool used_sketch, PlanPrecision tier);
+    /// Counts a delta-composed answer: recomputed exactly over base +
+    /// delta (`exact`) or a sketch answer with a scalar correction.
+    void TickDelta(bool exact);
+    void Reset();
+    /// Relaxed reads of every counter and the latency percentiles, filled
+    /// into a store snapshot (store name and demoted flag left unset).
+    StoreStatsSnapshot Load() const;
+  };
+
+  /// Per-store counters. Owned via shared_ptr so ExecuteBatch can update
+  /// them after dropping the shard lock.
+  struct StoreCounters {
+    std::string display;  // "dataset/agg(col N)"
+    AnswerCounters answers;
   };
 
   /// Per (dataset, query function) pending queue + error-budget health.
@@ -245,27 +262,20 @@ class ServeEngine {
     /// effectively uncontended at serving time) and backs the cv.
     std::mutex mu;
     std::condition_variable cv;
-    /// Sleep/wake handshake: set (seq_cst) by the dispatcher just before
-    /// it decides to wait; producers re-check it after publishing (with a
-    /// seq_cst fence between), so a submission can never be published
-    /// without either the dispatcher seeing it or the producer seeing
-    /// `sleeping` and ringing the cv.
+    /// Sleep/wake handshake: set by the dispatcher (RMW) just before it
+    /// re-checks the ring and waits; every producer takes it (RMW) after
+    /// publishing and rings the cv if it was set. Because both sides RMW
+    /// the same atomic, a submission can never be published without either
+    /// the dispatcher seeing it or a producer seeing `sleeping`.
     std::atomic<bool> sleeping{false};
     std::map<ServeKey, KeyState> keys;
     size_t pending_count = 0;
 
     // Shard-local metrics (relaxed atomics; Snapshot sums across shards).
-    std::atomic<uint64_t> queries{0};
-    std::atomic<uint64_t> sketch_answers{0};
-    std::atomic<uint64_t> f32_sketch_answers{0};
-    std::atomic<uint64_t> fallback_answers{0};
-    std::atomic<uint64_t> failed_answers{0};
-    std::atomic<uint64_t> delta_corrected_answers{0};
-    std::atomic<uint64_t> delta_exact_answers{0};
+    AnswerCounters answers;
     std::atomic<uint64_t> batches{0};
     std::atomic<uint64_t> budget_trips{0};
     std::atomic<uint64_t> backpressure_waits{0};
-    LatencyHistogram latency;
     // Stage histograms (only written when options_.stage_tracing).
     LatencyHistogram stage_queue;
     LatencyHistogram stage_assembly;

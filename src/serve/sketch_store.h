@@ -55,8 +55,8 @@ struct ServeKey {
 /// the serialized (on-disk) footprint; `resident_bytes` is what the
 /// version actually occupies in memory right now — 0 for a cold paged
 /// entry. The two were conflated before the paged catalog existed; they
-/// differ by design now (a warm sketch drops its trainer and inactive
-/// tiers, a cold one drops everything).
+/// differ by design now (a warm sketch drops its inactive tiers, a cold
+/// one drops everything).
 struct SketchListing {
   ServeKey key;
   uint64_t version = 0;

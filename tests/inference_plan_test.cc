@@ -10,8 +10,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/neurosketch.h"
@@ -296,6 +298,40 @@ TEST(InferencePlanGoldenTest, SaveLoadServesIdenticalAnswers) {
     EXPECT_EQ(loaded.value().Answer(q), sketch.value().Answer(q));
     ExpectMatchesScalar(loaded.value(), sketch.value().Answer(q),
                         loaded.value().AnswerScalar(q), scale);
+  }
+}
+
+TEST(InferencePlanGoldenTest, ConcurrentScalarOnLoadedSketchMatchesSerial) {
+  // AnswerScalar on a const sketch shares nothing between callers: each
+  // call rebuilds the routed leaf's reference Mlp from its plan. Eight
+  // threads answering the probes on one loaded sketch (the TSan leg runs
+  // this) must each reproduce the serial answers bit-for-bit.
+  std::vector<QueryInstance> probes;
+  auto sketch = BuildSketch(91, 0, &probes);
+  ASSERT_TRUE(sketch.ok());
+  std::stringstream image;
+  ASSERT_TRUE(sketch.value().SaveTo(&image).ok());
+  auto loaded = NeuroSketch::LoadFrom(&image);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const NeuroSketch& shared = loaded.value();
+
+  std::vector<double> serial;
+  for (const auto& q : probes) serial.push_back(shared.AnswerScalar(q));
+  constexpr size_t kThreads = 8;
+  std::vector<std::vector<double>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const auto& q : probes) got[t].push_back(shared.AnswerScalar(q));
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), serial.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&got[t][i], &serial[i], sizeof(double)), 0)
+          << "thread " << t << " probe " << i;
+    }
   }
 }
 

@@ -547,25 +547,25 @@ TEST(SketchImageTest, DeepRoutingIsRejectedWithoutRecursing) {
 
 TEST(SketchImageTest, HostileModelCountIsRejected) {
   const LegacyRig r = LegacyRig::Make(89);
-  const size_t nmodels_off =
+  const size_t count_off =
       2 * sizeof(uint64_t) + Peek<uint64_t>(r.f64_image, 8) * sizeof(double);
-  ASSERT_EQ(Peek<uint64_t>(r.f64_image, nmodels_off), r.leaves);
+  ASSERT_EQ(Peek<uint64_t>(r.f64_image, count_off), r.leaves);
   for (uint64_t nmodels : kHostileCounts) {
     SCOPED_TRACE(nmodels);
     std::string image = r.f64_image;
-    Poke<uint64_t>(&image, nmodels_off, nmodels);
+    Poke<uint64_t>(&image, count_off, nmodels);
     ExpectIOError(LoadFromString(image));
   }
 }
 
 TEST(SketchImageTest, HostileModelWidthsAreRejected) {
   const LegacyRig r = LegacyRig::Make(86);
-  const size_t nmodels_off =
+  const size_t count_off =
       2 * sizeof(uint64_t) + Peek<uint64_t>(r.f64_image, 8) * sizeof(double);
   // First model header: magic u32, version u32, in_dim u64, out_dim u64,
   // activation u32, hidden count u64, then one u64 per hidden width.
   const size_t model_off =
-      nmodels_off + sizeof(uint64_t) + 2 * r.leaves * sizeof(double);
+      count_off + sizeof(uint64_t) + 2 * r.leaves * sizeof(double);
   const size_t in_dim_off = model_off + 2 * sizeof(uint32_t);
   const size_t n_hidden_off = in_dim_off + 2 * sizeof(uint64_t) +
                               sizeof(uint32_t);

@@ -1,6 +1,5 @@
 #include "query/aggregate.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -9,22 +8,6 @@
 namespace neurosketch {
 
 AggregateAccumulator::AggregateAccumulator(Aggregate agg) : agg_(agg) {}
-
-void AggregateAccumulator::Add(double v) {
-  if (count_ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  ++count_;
-  sum_ += v;
-  // Welford update.
-  const double delta = v - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (v - mean_);
-  if (agg_ == Aggregate::kMedian) buffer_.push_back(v);
-}
 
 double AggregateAccumulator::Finalize() const {
   switch (agg_) {

@@ -56,11 +56,11 @@ void ExactEngine::AccumulateOver(const Table& table, const RangeScan& scan,
                                  size_t measure_col,
                                  AggregateAccumulator* acc) {
   const auto cols = ColumnPointers(table);
-  const double* measure = cols[measure_col];
-  scan.Run(ColumnRows{cols.data(), cols.size()}, table.num_rows(),
-           [&](size_t i, bool hit) {
-             if (hit) acc->Add(measure[i]);
-           });
+  const ColumnRows rows{cols.data(), cols.size()};
+  const auto measure = rows.Column(measure_col);
+  scan.ForEachMatch(rows, table.num_rows(), [&](const size_t* idx, size_t m) {
+    acc->AddSelected(idx, m, measure);
+  });
 }
 
 void ExactEngine::Accumulate(const QueryFunctionSpec& spec,
@@ -77,8 +77,8 @@ size_t ExactEngine::CountMatches(const QueryFunctionSpec& spec,
   const auto cols = ColumnPointers(t);
   const RangeScan scan(*spec.predicate, q, t.num_columns());
   size_t matches = 0;
-  scan.Run(ColumnRows{cols.data(), cols.size()}, t.num_rows(),
-           [&](size_t, bool hit) { matches += hit; });
+  scan.ForEachMatch(ColumnRows{cols.data(), cols.size()}, t.num_rows(),
+                    [&](const size_t*, size_t m) { matches += m; });
   return matches;
 }
 

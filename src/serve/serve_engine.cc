@@ -29,75 +29,19 @@ double MicrosBetween(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
-/// Exact match statistics of one query over a delta row range — the
-/// ingredients of the decomposable-aggregate composition.
-struct DeltaMatch {
-  size_t matched = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-/// COUNT/SUM/MIN/MAX statistics of delta rows [from, end); COUNT needs
-/// only `matched`. COUNT and SUM accumulate without branches: `sum`
-/// starts at +0.0 and can never become -0.0, and x + 0.0 == x for every
-/// other x, so adding 0.0 for a non-matching row (whatever its measure,
-/// NaN included) leaves exactly the in-order sum of the matching rows.
-/// MIN/MAX keep the first-match semantics (a NaN first match is sticky),
-/// so they stay branchy.
-DeltaMatch ScanDelta(const DeltaBuffer::Snapshot& snap, size_t from,
-                     const QueryFunctionSpec& spec, const RangeScan& scan) {
-  DeltaMatch m;
-  const size_t dim = snap.num_columns();
-  const size_t mc = spec.measure_col;
-  snap.ForEachSpan(from, snap.end(), [&](const double* rows, size_t n) {
-    const RowMajorRows span{rows, dim};
-    // Locals, not m's fields: a store to m.sum could alias the row data
-    // and would pin every addition to memory.
-    size_t matched = m.matched;
-    switch (spec.agg) {
-      case Aggregate::kCount:
-        scan.Run(span, n, [&](size_t, bool hit) { matched += hit; });
-        break;
-      case Aggregate::kSum: {
-        double sum = m.sum;
-        scan.Run(span, n, [&](size_t i, bool hit) {
-          matched += hit;
-          sum += hit ? span.At(i, mc) : 0.0;
-        });
-        m.sum = sum;
-        break;
-      }
-      default:  // kMin / kMax
-        scan.Run(span, n, [&](size_t i, bool hit) {
-          if (!hit) return;
-          const double v = span.At(i, mc);
-          if (matched == 0) {
-            m.min = m.max = v;
-          } else {
-            if (v < m.min) m.min = v;
-            if (v > m.max) m.max = v;
-          }
-          ++matched;
-        });
-        break;
-    }
-    m.matched = matched;
-  });
-  return m;
-}
-
-/// True iff any delta row in [from, end) matches; stops at the first.
+/// True iff any delta row in [from, end) matches; stops after the first
+/// selection block that holds a match.
 bool AnyDeltaMatch(const DeltaBuffer::Snapshot& snap, size_t from,
                    const RangeScan& scan) {
   bool found = false;
   const size_t dim = snap.num_columns();
+  constexpr size_t kBlock = RangeScan::kBlockRows;
   snap.ForEachSpan(from, snap.end(), [&](const double* rows, size_t n) {
-    if (found) return;
-    scan.Run(RowMajorRows{rows, dim}, n, [&](size_t, bool hit) {
-      found = hit;
-      return !hit;
-    });
+    for (size_t b = 0; b < n && !found; b += kBlock) {
+      scan.ForEachMatch(RowMajorRows{rows + b * dim, dim},
+                        std::min(kBlock, n - b),
+                        [&](const size_t*, size_t) { found = true; });
+    }
   });
   return found;
 }
@@ -117,34 +61,32 @@ bool Decomposable(Aggregate agg) {
   }
 }
 
-/// The streaming exact path: one accumulation fed the pinned base table
-/// first, then every delta row the base does not already hold, in append
-/// order — bit-identical to a from-scratch scan of the appended table for
-/// every aggregate (including Welford STD and MEDIAN's order-sensitive
-/// buffer). The delta scan starts at the pinned version's fold watermark:
-/// rows below it were compacted into the base and counting them from the
-/// delta too would double them. The caller took the snapshot BEFORE
-/// pinning, so snap.begin() <= base.folded always holds and the pair
-/// covers the logical history exactly once.
+}  // namespace
+
+void AccumulateDelta(const DeltaBuffer::Snapshot& snap, size_t from,
+                     const RangeScan& scan, size_t measure_col,
+                     AggregateAccumulator* acc) {
+  const size_t dim = snap.num_columns();
+  snap.ForEachSpan(from, snap.end(), [&](const double* data, size_t n) {
+    const RowMajorRows rows{data, dim};
+    const auto measure = rows.Column(measure_col);
+    scan.ForEachMatch(rows, n, [&](const size_t* idx, size_t m) {
+      acc->AddSelected(idx, m, measure);
+    });
+  });
+}
+
 double ExactWithDelta(const ExactEngine::PinnedBase& base,
                       const QueryFunctionSpec& spec, const RangeScan& scan,
                       const DeltaBuffer::Snapshot& snap) {
   AggregateAccumulator acc(spec.agg);
   ExactEngine::AccumulateOver(*base.table, scan, spec.measure_col, &acc);
-  const size_t dim = snap.num_columns();
-  const size_t mc = spec.measure_col;
   const size_t from = snap.begin() < base.folded
                           ? static_cast<size_t>(base.folded)
                           : snap.begin();
-  snap.ForEachSpan(from, snap.end(), [&](const double* rows, size_t n) {
-    const RowMajorRows span{rows, dim};
-    scan.Run(span, n, [&](size_t i, bool hit) {
-      if (hit) acc.Add(span.At(i, mc));
-    });
-  });
+  AccumulateDelta(snap, from, scan, spec.measure_col, &acc);
   return acc.Finalize();
 }
-}  // namespace
 
 ServeEngine::ServeEngine(const SketchStore* store, ServeOptions options)
     : store_(store),
@@ -585,20 +527,20 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
         if (from >= dsnap.end()) continue;  // leaf fully folded
         const RangeScan scan(*spec.predicate, queries[i], data_dim);
         if (Decomposable(spec.agg)) {
-          const DeltaMatch m = ScanDelta(dsnap, from, spec, scan);
-          if (m.matched == 0) continue;  // appends do not touch this query
+          AggregateAccumulator d(spec.agg);
+          AccumulateDelta(dsnap, from, scan, spec.measure_col, &d);
+          if (d.count() == 0) continue;  // appends do not touch this query
+          const double v = d.Finalize();
           switch (spec.agg) {
             case Aggregate::kCount:
-              answers[i] += static_cast<double>(m.matched);
-              break;
             case Aggregate::kSum:
-              answers[i] += m.sum;
+              answers[i] += v;
               break;
             case Aggregate::kMin:
-              answers[i] = std::min(answers[i], m.min);
+              answers[i] = std::min(answers[i], v);
               break;
             default:  // kMax
-              answers[i] = std::max(answers[i], m.max);
+              answers[i] = std::max(answers[i], v);
               break;
           }
           modes[i] = 1;

@@ -43,6 +43,10 @@
 #include <thread>
 #include <vector>
 
+#include "query/aggregate.h"
+#include "query/engine.h"
+#include "query/range_scan.h"
+#include "serve/delta_buffer.h"
 #include "serve/serve_stats.h"
 #include "serve/sketch_store.h"
 #include "util/metrics.h"
@@ -92,6 +96,27 @@ struct ServeOptions {
   /// only consulted when stage_tracing is on).
   size_t slow_query_capacity = 32;
 };
+
+/// \brief Feeds `acc` the measure of every delta row in [from, end) that
+/// `scan` matches, in append order — the exact half of streaming
+/// composition. For COUNT/SUM/MIN/MAX the finalized accumulator is the
+/// scalar correction to a sketch answer.
+void AccumulateDelta(const DeltaBuffer::Snapshot& snap, size_t from,
+                     const RangeScan& scan, size_t measure_col,
+                     AggregateAccumulator* acc);
+
+/// \brief The streaming exact answer: one accumulation fed the pinned base
+/// table first, then every delta row the base does not already hold, in
+/// append order — bit-identical to a from-scratch scan of the appended
+/// table for every aggregate (including Welford AVG/STD and MEDIAN's
+/// order-sensitive buffer). The delta scan starts at the pinned version's
+/// fold watermark: rows below it were compacted into the base and
+/// counting them from the delta too would double them. The caller must
+/// take the snapshot BEFORE pinning, so snap.begin() <= base.folded
+/// always holds and the pair covers the logical history exactly once.
+double ExactWithDelta(const ExactEngine::PinnedBase& base,
+                      const QueryFunctionSpec& spec, const RangeScan& scan,
+                      const DeltaBuffer::Snapshot& snap);
 
 /// \brief One delivered answer.
 struct ServeResult {

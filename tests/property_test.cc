@@ -637,12 +637,12 @@ bool SameBits(double a, double b) {
 /// RangeScan's verdict on one row, through both row layouts.
 bool ScanVerdict(const RangeScan& scan, const std::vector<double>& row) {
   bool row_major = false, columnar = false;
-  scan.Run(RowMajorRows{row.data(), row.size()}, 1,
-           [&](size_t, bool hit) { row_major = hit; });
+  scan.ForEachMatch(RowMajorRows{row.data(), row.size()}, 1,
+                    [&](const size_t*, size_t m) { row_major = m == 1; });
   std::vector<const double*> cols(row.size());
   for (size_t c = 0; c < row.size(); ++c) cols[c] = &row[c];
-  scan.Run(ColumnRows{cols.data(), cols.size()}, 1,
-           [&](size_t, bool hit) { columnar = hit; });
+  scan.ForEachMatch(ColumnRows{cols.data(), cols.size()}, 1,
+                    [&](const size_t*, size_t m) { columnar = m == 1; });
   EXPECT_EQ(row_major, columnar);
   return row_major;
 }
@@ -753,8 +753,11 @@ TEST(CompiledBoundsTest, EdgeValuesMatchTheVirtualPredicate) {
 }
 
 /// A small table with NaN, signed zeros and exact interval edges mixed
-/// into uniform data.
-Table EdgeValueTable(size_t rows, uint64_t seed) {
+/// into uniform data. With `nan_measure` false the measure column "m"
+/// draws -0.0 where it would draw NaN, so AVG/STD/SUM/MIN/MAX over a
+/// range stay finite and their arithmetic is compared bit for bit rather
+/// than collapsing to NaN.
+Table EdgeValueTable(size_t rows, uint64_t seed, bool nan_measure = true) {
   Schema schema;
   schema.columns = {"x", "y", "m"};
   Table t(schema);
@@ -765,34 +768,72 @@ Table EdgeValueTable(size_t rows, uint64_t seed) {
     for (double& v : row) {
       v = rng.Index(5) == 0 ? specials[rng.Index(6)] : rng.Uniform();
     }
+    if (!nan_measure && std::isnan(row[2])) row[2] = -0.0;
     EXPECT_TRUE(t.AppendRow(row).ok());
   }
   return t;
 }
 
-/// The per-row virtual loop the scans replaced: the reference.
+/// The aggregate of `values` in order, by the per-row formulas every
+/// accumulation path must reproduce bit for bit: an in-order sum from
+/// +0.0, Welford's mean and m2, std::min/std::max seeded by the first
+/// value, and the median of the buffered values.
+double ReferenceAggregate(Aggregate agg, const std::vector<double>& values) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const size_t n = values.size();
+  double sum = 0.0, mean = 0.0, m2 = 0.0, lo = 0.0, hi = 0.0;
+  for (size_t k = 0; k < n; ++k) {
+    const double v = values[k];
+    lo = k == 0 ? v : std::min(lo, v);
+    hi = k == 0 ? v : std::max(hi, v);
+    sum += v;
+    const double delta = v - mean;
+    mean += delta / static_cast<double>(k + 1);
+    m2 += delta * (v - mean);
+  }
+  switch (agg) {
+    case Aggregate::kCount:
+      return static_cast<double>(n);
+    case Aggregate::kSum:
+      return sum;
+    case Aggregate::kAvg:
+      return n == 0 ? nan : mean;
+    case Aggregate::kStd:
+      return n == 0 ? nan : std::sqrt(m2 / static_cast<double>(n));
+    case Aggregate::kMedian:
+      return n == 0 ? nan : stats::Median(values);
+    case Aggregate::kMin:
+      return n == 0 ? nan : lo;
+    case Aggregate::kMax:
+      return n == 0 ? nan : hi;
+  }
+  return nan;
+}
+
+/// The per-row virtual Matches loop every scan is compared against.
 double ReferenceAnswer(const Table& t, const QueryFunctionSpec& spec,
                        const QueryInstance& q, size_t* matched) {
-  AggregateAccumulator acc(spec.agg);
-  *matched = 0;
+  std::vector<double> values;
   for (size_t i = 0; i < t.num_rows(); ++i) {
     const std::vector<double> row = t.Row(i);
     if (!spec.predicate->Matches(q, row.data(), row.size())) continue;
-    ++*matched;
-    acc.Add(row[spec.measure_col]);
+    values.push_back(row[spec.measure_col]);
   }
-  return acc.Finalize();
+  *matched = values.size();
+  return ReferenceAggregate(spec.agg, values);
 }
 
-TEST(CompiledBoundsTest, EveryPredicateFamilyScansBitIdentically) {
-  const Table t = EdgeValueTable(3000, 71);
-  const ExactEngine engine(&t);
-  struct Family {
-    std::shared_ptr<const PredicateFunction> pred;
-    std::vector<QueryInstance> queries;
-    bool compiled;
-  };
-  const std::vector<Family> families = {
+/// One predicate family with a few queries over 3-column rows.
+struct PredicateFamily {
+  std::shared_ptr<const PredicateFunction> pred;
+  std::vector<QueryInstance> queries;
+  bool compiled;
+};
+
+/// All three families: axis ranges (compiled bounds, including an
+/// all-inactive query) and two that keep the virtual Matches.
+std::vector<PredicateFamily> PredicateFamilies() {
+  return {
       {AxisRangePredicate::Make(),
        {QueryInstance({0.25, 0.0, 0.0, 0.5, 1.0, 1.0}),
         QueryInstance({0.1, 0.2, 0.0, 0.4, 0.5, 1.0}),
@@ -805,10 +846,17 @@ TEST(CompiledBoundsTest, EveryPredicateFamilyScansBitIdentically) {
        {QueryInstance({0.5, 0.2}), QueryInstance({-1.0, 0.9})},
        false},
   };
-  for (const auto& fam : families) {
-    for (Aggregate agg : {Aggregate::kCount, Aggregate::kSum,
-                          Aggregate::kAvg, Aggregate::kStd,
-                          Aggregate::kMedian, Aggregate::kMin}) {
+}
+
+constexpr Aggregate kAllAggregates[] = {
+    Aggregate::kCount, Aggregate::kSum,    Aggregate::kAvg, Aggregate::kStd,
+    Aggregate::kMedian, Aggregate::kMin, Aggregate::kMax};
+
+TEST(CompiledBoundsTest, EveryPredicateFamilyScansBitIdentically) {
+  const Table t = EdgeValueTable(3000, 71);
+  const ExactEngine engine(&t);
+  for (const auto& fam : PredicateFamilies()) {
+    for (Aggregate agg : kAllAggregates) {
       QueryFunctionSpec spec;
       spec.predicate = fam.pred;
       spec.agg = agg;
@@ -824,6 +872,115 @@ TEST(CompiledBoundsTest, EveryPredicateFamilyScansBitIdentically) {
         EXPECT_TRUE(SameBits(acc.Finalize(), want));
         EXPECT_EQ(engine.CountMatches(spec, q), matched);
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Select-then-reduce scans (RangeScan::ForEachMatch feeding
+// AggregateAccumulator::AddSelected) must give the per-row reference
+// loop's exact bits through every exact-scan entry point: the base scan,
+// the match count, the serve path's delta correction and its base+delta
+// recompute. Table sizes straddle the 1024-row selection block; delta
+// chunks are smaller than a block (7 rows) or equal to it, and the
+// unfolded delta starts mid-chunk.
+
+/// Rows [lo, hi) of `t` as a table of their own.
+Table Slice(const Table& t, size_t lo, size_t hi) {
+  Table out(t.schema());
+  for (size_t i = lo; i < hi; ++i) EXPECT_TRUE(out.AppendRow(t.Row(i)).ok());
+  return out;
+}
+
+class SelectThenReduceSweep
+    : public testing::TestWithParam<std::tuple<size_t, size_t, bool>> {};
+
+TEST_P(SelectThenReduceSweep, EveryScanEntryPointMatchesTheReferenceLoop) {
+  const auto [rows, chunk_rows, nan_measure] = GetParam();
+  const Table full = EdgeValueTable(rows, 72 + rows, nan_measure);
+  const ExactEngine full_engine(&full);
+  // The logical table is base rows [0, split) then delta rows
+  // [split, rows). The delta buffer also holds the `folded` rows just
+  // below split, which the base already reflects, so the unfolded delta
+  // starts mid-chunk.
+  const size_t split = rows / 2;
+  const size_t folded = std::min<size_t>(3, split);
+  const Table base = Slice(full, 0, split);
+  const Table delta_rows = Slice(full, split, rows);
+  serve::DeltaBuffer delta(full.num_columns(), chunk_rows);
+  for (size_t i = split - folded; i < rows; ++i) delta.Append(full.Row(i));
+  const serve::DeltaBuffer::Snapshot snap = delta.Snap();
+  ExactEngine::PinnedBase pinned;
+  pinned.table = &base;
+  pinned.folded = folded;
+
+  for (const auto& fam : PredicateFamilies()) {
+    for (Aggregate agg : kAllAggregates) {
+      QueryFunctionSpec spec;
+      spec.predicate = fam.pred;
+      spec.agg = agg;
+      spec.measure_col = 2;
+      for (const auto& q : fam.queries) {
+        SCOPED_TRACE(fam.pred->name() + " " + AggregateName(agg));
+        const RangeScan scan(*fam.pred, q, full.num_columns());
+        size_t matched = 0;
+        const double want = ReferenceAnswer(full, spec, q, &matched);
+
+        AggregateAccumulator acc(agg);
+        ExactEngine::AccumulateOver(full, scan, spec.measure_col, &acc);
+        EXPECT_TRUE(SameBits(acc.Finalize(), want));
+        EXPECT_EQ(acc.count(), matched);
+        EXPECT_EQ(full_engine.CountMatches(spec, q), matched);
+
+        size_t delta_matched = 0;
+        const double delta_want =
+            ReferenceAnswer(delta_rows, spec, q, &delta_matched);
+        AggregateAccumulator d(agg);
+        serve::AccumulateDelta(snap, folded, scan, spec.measure_col, &d);
+        EXPECT_TRUE(SameBits(d.Finalize(), delta_want));
+        EXPECT_EQ(d.count(), delta_matched);
+
+        EXPECT_TRUE(
+            SameBits(serve::ExactWithDelta(pinned, spec, scan, snap), want));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BlockEdges, SelectThenReduceSweep,
+    testing::Combine(testing::Values<size_t>(0, 1, 1023, 1024, 1025, 3000),
+                     testing::Values<size_t>(7, 1024), testing::Bool()));
+
+// Per-value Add, one bulk AddSelected, and selections of growing size fed
+// one after another (so MIN/MAX continue from a seeded accumulator) all
+// give the reference bits for every aggregate, after every selection,
+// NaN and signed zeros included.
+TEST(AggregateAccumulatorTest, AddAndAddSelectedMatchTheReference) {
+  for (bool nan_measure : {true, false}) {
+    const Table t = EdgeValueTable(2500, 73, nan_measure);
+    const std::vector<double>& column = t.column(2);
+    std::vector<size_t> idx;
+    for (size_t i = 0; i < column.size(); i += 1 + i % 3) idx.push_back(i);
+    const auto value = [&column](size_t i) { return column[i]; };
+    for (Aggregate agg : kAllAggregates) {
+      SCOPED_TRACE(AggregateName(agg) + (nan_measure ? " with NaN" : ""));
+      AggregateAccumulator one(agg), bulk(agg), split(agg);
+      std::vector<double> prefix;
+      for (size_t at = 0, m = 1; at < idx.size(); at += m, ++m) {
+        m = std::min(m, idx.size() - at);
+        split.AddSelected(idx.data() + at, m, value);
+        for (size_t k = at; k < at + m; ++k) {
+          one.Add(column[idx[k]]);
+          prefix.push_back(column[idx[k]]);
+        }
+        const double want = ReferenceAggregate(agg, prefix);
+        EXPECT_TRUE(SameBits(split.Finalize(), want)) << prefix.size();
+        EXPECT_TRUE(SameBits(one.Finalize(), want)) << prefix.size();
+      }
+      bulk.AddSelected(idx.data(), idx.size(), value);
+      EXPECT_TRUE(SameBits(bulk.Finalize(), ReferenceAggregate(agg, prefix)));
+      EXPECT_EQ(bulk.count(), idx.size());
     }
   }
 }

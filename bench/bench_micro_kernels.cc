@@ -4,6 +4,8 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "query/range_scan.h"
+#include "serve/serve_engine.h"
 
 using namespace neurosketch;
 using namespace neurosketch::bench;
@@ -84,24 +86,43 @@ void BM_TreeAggAnswer(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeAggAnswer);
 
-// One exact answer over the bench table; the argument is the Aggregate
-// (COUNT, SUM, AVG), so each reduction's cost is reported on its own.
+// Exact answers over the bench table through the serving recompute
+// (serve::ExactWithDelta, empty delta). Arguments: the Aggregate (COUNT,
+// SUM, AVG), so each reduction's cost is reported on its own, and the
+// batch size, so AVG shows what advancing its Welford chains in lockstep
+// saves. Compare `per_query` (seconds) across batch sizes.
 void BM_ExactScan(benchmark::State& state) {
   auto& f = F();
-  ExactEngine engine(&f.wb.data.normalized);
+  const ExactEngine engine(&f.wb.data.normalized);
+  const ExactEngine::PinnedBase pinned = engine.Pin();
   QueryFunctionSpec spec = f.wb.spec;
   spec.agg = static_cast<Aggregate>(state.range(0));
+  const size_t batch = static_cast<size_t>(state.range(1));
   state.SetLabel(AggregateName(spec.agg));
+  std::vector<RangeScan> scans;
+  for (const auto& q : f.wb.test_q) {
+    scans.emplace_back(*spec.predicate, q, pinned.table->num_columns());
+  }
+  std::vector<double> out(batch);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine.Answer(spec, f.wb.test_q[i++ % f.wb.test_q.size()]));
+    if (i + batch > scans.size()) i = 0;
+    serve::ExactWithDelta(pinned, spec, scans.data() + i, batch, {},
+                          out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    i += batch;
   }
+  state.counters["per_query"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * batch),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_ExactScan)
-    ->Arg(static_cast<int>(Aggregate::kCount))
-    ->Arg(static_cast<int>(Aggregate::kSum))
-    ->Arg(static_cast<int>(Aggregate::kAvg));
+    ->Args({static_cast<int>(Aggregate::kCount), 1})
+    ->Args({static_cast<int>(Aggregate::kSum), 1})
+    ->Args({static_cast<int>(Aggregate::kAvg), 1})
+    ->Args({static_cast<int>(Aggregate::kAvg), 4})
+    ->Args({static_cast<int>(Aggregate::kAvg), 16});
 
 void BM_RTreeRangeQuery(benchmark::State& state) {
   Rng rng(1600);

@@ -1,5 +1,7 @@
 #include "query/engine.h"
 
+#include <algorithm>
+
 #include "query/aggregate.h"
 #include "util/thread_pool.h"
 
@@ -49,18 +51,15 @@ void ExactEngine::AccumulateOver(const Table& table,
                                  const QueryInstance& q,
                                  AggregateAccumulator* acc) {
   const RangeScan scan(*spec.predicate, q, table.num_columns());
-  AccumulateOver(table, scan, spec.measure_col, acc);
+  AccumulateOver(table, &scan, 1, spec.measure_col, acc);
 }
 
-void ExactEngine::AccumulateOver(const Table& table, const RangeScan& scan,
-                                 size_t measure_col,
-                                 AggregateAccumulator* acc) {
+void ExactEngine::AccumulateOver(const Table& table, const RangeScan* scans,
+                                 size_t n, size_t measure_col,
+                                 AggregateAccumulator* accs) {
   const auto cols = ColumnPointers(table);
-  const ColumnRows rows{cols.data(), cols.size()};
-  const auto measure = rows.Column(measure_col);
-  scan.ForEachMatch(rows, table.num_rows(), [&](const size_t* idx, size_t m) {
-    acc->AddSelected(idx, m, measure);
-  });
+  ReduceMatches(ColumnRows{cols.data(), cols.size()}, table.num_rows(), scans,
+                nullptr, n, measure_col, accs);
 }
 
 void ExactEngine::Accumulate(const QueryFunctionSpec& spec,
@@ -73,13 +72,10 @@ void ExactEngine::Accumulate(const QueryFunctionSpec& spec,
 size_t ExactEngine::CountMatches(const QueryFunctionSpec& spec,
                                  const QueryInstance& q) const {
   const PinnedBase pinned = Pin();
-  const Table& t = *pinned.table;
-  const auto cols = ColumnPointers(t);
-  const RangeScan scan(*spec.predicate, q, t.num_columns());
-  size_t matches = 0;
-  scan.ForEachMatch(ColumnRows{cols.data(), cols.size()}, t.num_rows(),
-                    [&](const size_t*, size_t m) { matches += m; });
-  return matches;
+  const RangeScan scan(*spec.predicate, q, pinned.table->num_columns());
+  AggregateAccumulator acc(Aggregate::kCount);
+  AccumulateOver(*pinned.table, &scan, 1, spec.measure_col, &acc);
+  return acc.count();
 }
 
 std::vector<double> ExactEngine::AnswerBatch(
@@ -89,23 +85,35 @@ std::vector<double> ExactEngine::AnswerBatch(
   // split a batch across two base versions.
   const PinnedBase pinned = Pin();
   const Table& t = *pinned.table;
-  auto answer_one = [&](const QueryInstance& q) {
-    AggregateAccumulator acc(spec.agg);
-    AccumulateOver(t, spec, q, &acc);
-    return acc.Finalize();
-  };
   std::vector<double> out(queries.size());
+  // Answers queries [begin, end) with one batch-major pass.
+  auto answer_range = [&](size_t begin, size_t end) {
+    std::vector<RangeScan> scans;
+    scans.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      scans.emplace_back(*spec.predicate, queries[i], t.num_columns());
+    }
+    std::vector<AggregateAccumulator> accs(end - begin,
+                                           AggregateAccumulator(spec.agg));
+    AccumulateOver(t, scans.data(), scans.size(), spec.measure_col,
+                   accs.data());
+    for (size_t i = begin; i < end; ++i) out[i] = accs[i - begin].Finalize();
+  };
   ThreadPool& pool = ThreadPool::Shared();
   const size_t parallelism =
       num_threads == 0 ? pool.num_threads() + 1 : num_threads;
   if (parallelism <= 1 || queries.size() < 2 * parallelism) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      out[i] = answer_one(queries[i]);
-    }
+    answer_range(0, queries.size());
     return out;
   }
-  pool.ParallelFor(queries.size(), parallelism,
-                   [&](size_t i) { out[i] = answer_one(queries[i]); });
+  // Threads draw chunks of one lockstep group each, so load still
+  // balances across uneven chunks.
+  constexpr size_t kChunk = AggregateAccumulator::kLockstepLanes;
+  pool.ParallelFor((queries.size() + kChunk - 1) / kChunk, parallelism,
+                   [&](size_t c) {
+                     answer_range(c * kChunk, std::min(queries.size(),
+                                                       (c + 1) * kChunk));
+                   });
   return out;
 }
 

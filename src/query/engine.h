@@ -75,10 +75,13 @@ class ExactEngine {
   static void AccumulateOver(const Table& table, const QueryFunctionSpec& spec,
                              const QueryInstance& q,
                              AggregateAccumulator* acc);
-  /// \brief The same scan with the predicate already compiled, so a
-  /// caller continuing over delta rows compiles each query once.
-  static void AccumulateOver(const Table& table, const RangeScan& scan,
-                             size_t measure_col, AggregateAccumulator* acc);
+  /// \brief The batch form with the predicates already compiled, so a
+  /// caller continuing over delta rows compiles each query once: feeds
+  /// accs[q] exactly what the single-query form feeds it for scans[q],
+  /// through one batch-major pass (ReduceMatches).
+  static void AccumulateOver(const Table& table, const RangeScan* scans,
+                             size_t n, size_t measure_col,
+                             AggregateAccumulator* accs);
 
   /// \brief Number of rows matching the predicate.
   size_t CountMatches(const QueryFunctionSpec& spec,

@@ -7,6 +7,8 @@
 
 #include "query/aggregate.h"
 #include "query/engine.h"
+#include "query/range_scan.h"
+#include "util/thread_pool.h"
 
 namespace neurosketch {
 namespace serve {
@@ -20,6 +22,29 @@ std::string DisplayKey(const std::string& dataset,
   // serve counters join on the same {store="…"} label.
   return dataset + "/" + AggregateName(spec.agg) + "(col " +
          std::to_string(spec.measure_col) + ")";
+}
+
+/// Exact answers over the pinned base plus the delta rows it does not
+/// hold — the appended table's ground truth — without copying either:
+/// contiguous shards of `queries` each take one batch ExactWithDelta pass
+/// on up to `threads` threads.
+std::vector<double> ExactAnswers(const ExactEngine::PinnedBase& pinned,
+                                 const QueryFunctionSpec& spec,
+                                 const std::vector<QueryInstance>& queries,
+                                 const DeltaBuffer::Snapshot& snap,
+                                 size_t threads) {
+  std::vector<RangeScan> scans;
+  scans.reserve(queries.size());
+  for (const QueryInstance& q : queries) {
+    scans.emplace_back(*spec.predicate, q, pinned.table->num_columns());
+  }
+  std::vector<double> out(queries.size());
+  ThreadPool::Shared().ParallelForShards(
+      queries.size(), threads, [&](size_t, size_t begin, size_t end) {
+        ExactWithDelta(pinned, spec, scans.data() + begin, end - begin, snap,
+                       out.data() + begin);
+      });
+  return out;
 }
 }  // namespace
 
@@ -72,23 +97,8 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
   DeltaBuffer::Snapshot dsnap;
   if (view.delta != nullptr) dsnap = view.delta->Snap();
   const ExactEngine::PinnedBase pinned = base->Pin();
-  Table merged = *pinned.table;
-  if (!dsnap.empty()) {
-    const size_t from = dsnap.begin() < pinned.folded
-                            ? static_cast<size_t>(pinned.folded)
-                            : dsnap.begin();
-    std::vector<double> row(dsnap.num_columns());
-    dsnap.ForEachRow(from, dsnap.end(), [&](const double* r) {
-      row.assign(r, r + dsnap.num_columns());
-      // Column counts match by EnableStreaming's contract; a mismatch
-      // surfaces as missing rows in the (validated) post-retrain probe.
-      (void)merged.AppendRow(row);
-    });
-  }
-  const ExactEngine merged_engine(&merged);
-
-  const std::vector<double> truth = merged_engine.AnswerBatch(
-      spec, target.monitor.probes(), options_.probe_threads);
+  const std::vector<double> truth = ExactAnswers(
+      pinned, spec, target.monitor.probes(), dsnap, options_.probe_threads);
   const DriftReport report = target.monitor.CheckAgainst(*view.sketch, truth);
   out.probed = true;
   out.pre_mae = report.normalized_mae;
@@ -147,8 +157,8 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
       std::vector<double> train_a =
           target.train_queries.empty()
               ? truth
-              : merged_engine.AnswerBatch(spec, train_q,
-                                          options_.probe_threads);
+              : ExactAnswers(pinned, spec, train_q, dsnap,
+                             options_.probe_threads);
       const Status st = fresh.RetrainLeaves(out.stale_leaves, train_q,
                                             train_a, target.config);
       if (!st.ok()) {
@@ -165,7 +175,7 @@ RefreshOutcome RefreshController::RefreshTargetLocked(RefreshTarget& target) {
 
   if (ok) {
     // Validation gate: the retrained sketch must answer the probe set
-    // within the drift policy bound on the SAME merged truth, or it never
+    // within the drift policy bound on the SAME truth, or it never
     // reaches the store (the out-of-bound fault-injection path).
     const DriftReport post = target.monitor.CheckAgainst(fresh, truth);
     out.post_mae = post.normalized_mae;

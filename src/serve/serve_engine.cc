@@ -29,18 +29,18 @@ double MicrosBetween(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
-/// True iff any delta row in [from, end) matches; stops after the first
+/// True iff any delta row in [from, end) matches; stops at the first
 /// selection block that holds a match.
 bool AnyDeltaMatch(const DeltaBuffer::Snapshot& snap, size_t from,
                    const RangeScan& scan) {
   bool found = false;
   const size_t dim = snap.num_columns();
   constexpr size_t kBlock = RangeScan::kBlockRows;
+  size_t idx[kBlock];
   snap.ForEachSpan(from, snap.end(), [&](const double* rows, size_t n) {
     for (size_t b = 0; b < n && !found; b += kBlock) {
-      scan.ForEachMatch(RowMajorRows{rows + b * dim, dim},
-                        std::min(kBlock, n - b),
-                        [&](const size_t*, size_t) { found = true; });
+      found = scan.Select(RowMajorRows{rows, dim}, b,
+                          b + std::min(kBlock, n - b), idx) > 0;
     }
   });
   return found;
@@ -63,29 +63,36 @@ bool Decomposable(Aggregate agg) {
 
 }  // namespace
 
-void AccumulateDelta(const DeltaBuffer::Snapshot& snap, size_t from,
-                     const RangeScan& scan, size_t measure_col,
-                     AggregateAccumulator* acc) {
+void AccumulateDelta(const DeltaBuffer::Snapshot& snap, const size_t* from,
+                     const RangeScan* scans, size_t n, size_t measure_col,
+                     AggregateAccumulator* accs) {
+  if (n == 0) return;
   const size_t dim = snap.num_columns();
-  snap.ForEachSpan(from, snap.end(), [&](const double* data, size_t n) {
-    const RowMajorRows rows{data, dim};
-    const auto measure = rows.Column(measure_col);
-    scan.ForEachMatch(rows, n, [&](const size_t* idx, size_t m) {
-      acc->AddSelected(idx, m, measure);
-    });
+  // Spans are walked from the earliest watermark; each query starts at
+  // its own within the span that holds it.
+  size_t pos = std::max(*std::min_element(from, from + n), snap.begin());
+  std::vector<size_t> start(n);
+  snap.ForEachSpan(pos, snap.end(), [&](const double* data, size_t len) {
+    for (size_t q = 0; q < n; ++q) {
+      start[q] = from[q] > pos ? std::min(from[q] - pos, len) : 0;
+    }
+    ReduceMatches(RowMajorRows{data, dim}, len, scans, start.data(), n,
+                  measure_col, accs);
+    pos += len;
   });
 }
 
-double ExactWithDelta(const ExactEngine::PinnedBase& base,
-                      const QueryFunctionSpec& spec, const RangeScan& scan,
-                      const DeltaBuffer::Snapshot& snap) {
-  AggregateAccumulator acc(spec.agg);
-  ExactEngine::AccumulateOver(*base.table, scan, spec.measure_col, &acc);
-  const size_t from = snap.begin() < base.folded
-                          ? static_cast<size_t>(base.folded)
-                          : snap.begin();
-  AccumulateDelta(snap, from, scan, spec.measure_col, &acc);
-  return acc.Finalize();
+void ExactWithDelta(const ExactEngine::PinnedBase& base,
+                    const QueryFunctionSpec& spec, const RangeScan* scans,
+                    size_t n, const DeltaBuffer::Snapshot& snap, double* out) {
+  std::vector<AggregateAccumulator> accs(n, AggregateAccumulator(spec.agg));
+  ExactEngine::AccumulateOver(*base.table, scans, n, spec.measure_col,
+                              accs.data());
+  const std::vector<size_t> from(
+      n, snap.begin() < base.folded ? static_cast<size_t>(base.folded)
+                                    : snap.begin());
+  AccumulateDelta(snap, from.data(), scans, n, spec.measure_col, accs.data());
+  for (size_t q = 0; q < n; ++q) out[q] = accs[q].Finalize();
 }
 
 ServeEngine::ServeEngine(const SketchStore* store, ServeOptions options)
@@ -505,14 +512,19 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
     // answer: 0 = pure sketch, 1 = sketch + scalar delta correction
     // (still a sketch answer), 2 = recomputed exactly over base + delta
     // (non-decomposable aggregate with matching unfolded rows; counted
-    // as a fallback answer). Composition never changes NaN-ness, so the
-    // NaN scan and budget accounting below read post-composition values
-    // and see exactly the sketch's own answerability.
+    // as a fallback answer), 3 = exact repair of a NaN answer. Corrections
+    // never turn a number into NaN except a SUM meeting a NaN measure,
+    // which the repair below then recomputes exactly.
     thread_local std::vector<uint8_t> modes;
     modes.assign(answers.size(), 0);
+    // Every query needing an exact answer over base + delta: one batch.
+    std::vector<size_t> exact_ids;
+    std::vector<RangeScan> exact_scans;
     if (has_delta) {
       if (tracing) delta_start = Clock::now();
       const std::vector<uint64_t>* folded = view.leaf_folded.get();
+      std::vector<size_t> fix_ids, fix_from;
+      std::vector<RangeScan> fix_scans;
       for (size_t i = 0; i < answers.size(); ++i) {
         if (std::isnan(answers[i])) continue;
         // Route once more to find this query's fold watermark: rows the
@@ -525,40 +537,79 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
           if (w > from) from = w;
         }
         if (from >= dsnap.end()) continue;  // leaf fully folded
-        const RangeScan scan(*spec.predicate, queries[i], data_dim);
+        RangeScan scan(*spec.predicate, queries[i], data_dim);
         if (Decomposable(spec.agg)) {
-          AggregateAccumulator d(spec.agg);
-          AccumulateDelta(dsnap, from, scan, spec.measure_col, &d);
-          if (d.count() == 0) continue;  // appends do not touch this query
-          const double v = d.Finalize();
-          switch (spec.agg) {
-            case Aggregate::kCount:
-            case Aggregate::kSum:
-              answers[i] += v;
-              break;
-            case Aggregate::kMin:
-              answers[i] = std::min(answers[i], v);
-              break;
-            default:  // kMax
-              answers[i] = std::max(answers[i], v);
-              break;
-          }
-          modes[i] = 1;
+          fix_ids.push_back(i);
+          fix_from.push_back(from);
+          fix_scans.push_back(std::move(scan));
         } else if (engine != nullptr && AnyDeltaMatch(dsnap, from, scan)) {
-          answers[i] = ExactWithDelta(pinned, spec, scan, dsnap);
+          exact_ids.push_back(i);
+          exact_scans.push_back(std::move(scan));
           modes[i] = 2;
         }
         // Non-decomposable with no exact engine: serve the (stale)
         // sketch answer — there is nothing better to compose from.
       }
-      if (tracing) {
-        delta_end = Clock::now();
-        delta_timed = true;
+      std::vector<AggregateAccumulator> fixes(fix_ids.size(),
+                                              AggregateAccumulator(spec.agg));
+      AccumulateDelta(dsnap, fix_from.data(), fix_scans.data(),
+                      fix_ids.size(), spec.measure_col, fixes.data());
+      for (size_t k = 0; k < fix_ids.size(); ++k) {
+        if (fixes[k].count() == 0) continue;  // appends miss this query
+        const double v = fixes[k].Finalize();
+        double& a = answers[fix_ids[k]];
+        switch (spec.agg) {
+          case Aggregate::kCount:
+          case Aggregate::kSum:
+            a += v;
+            break;
+          case Aggregate::kMin:
+            a = std::min(a, v);
+            break;
+          default:  // kMax
+            a = std::max(a, v);
+            break;
+        }
+        modes[fix_ids[k]] = 1;
       }
     }
-    // infer_end is the first Fulfill's clock read, set in the loop below.
+    // NaN scan and budget accounting read the post-correction answers, so
+    // they see exactly the sketch's own answerability; a recomputed
+    // answer that comes out NaN counts as well (below).
     size_t nans = 0;
-    for (double a : answers) nans += std::isnan(a) ? 1 : 0;
+    for (size_t i = 0; i < answers.size(); ++i) {
+      if (!std::isnan(answers[i])) continue;
+      ++nans;
+      // Per-query exact repair: the sketch could not route/answer this
+      // instance (e.g. out-of-domain), but the batch as a whole stays on
+      // the fast path. With a live delta the repair composes over base +
+      // appended rows, so the repaired answer honors the same freshness
+      // contract.
+      if (engine == nullptr) continue;
+      exact_ids.push_back(i);
+      exact_scans.emplace_back(*spec.predicate, queries[i], data_dim);
+      modes[i] = 3;
+    }
+    if (!exact_ids.empty()) {
+      std::vector<double> exact(exact_ids.size());
+      ExactWithDelta(pinned, spec, exact_scans.data(), exact_scans.size(),
+                     dsnap, exact.data());
+      for (size_t k = 0; k < exact_ids.size(); ++k) {
+        const size_t i = exact_ids[k];
+        answers[i] = exact[k];
+        // A recompute that is NaN (a NaN measure) is served as a repair,
+        // exactly as a NaN sketch answer would be.
+        if (modes[i] == 2 && std::isnan(exact[k])) {
+          ++nans;
+          modes[i] = 3;
+        }
+      }
+    }
+    if (tracing && has_delta) {
+      delta_end = Clock::now();
+      delta_timed = true;
+    }
+    // infer_end is the first Fulfill's clock read, set in the loop below.
     const size_t genuine = answers.size() - nans;
     const PlanPrecision tier = sketch->plan_precision();
     tier_name = PlanPrecisionName(tier);
@@ -597,25 +648,15 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
     for (size_t i = 0; i < answers.size(); ++i) {
       double total_us;
       const char* served_as;
-      if (std::isnan(answers[i]) && engine != nullptr) {
-        // Per-query exact repair: the sketch could not route/answer this
-        // instance (e.g. out-of-domain), but the batch as a whole stays
-        // on the fast path. Fulfill ticks fallback_answers (or
-        // failed_answers when the engine is also stumped). With a live
-        // delta the repair composes over base + appended rows, so the
-        // repaired answer honors the same freshness contract.
-        const double repaired = ExactWithDelta(
-            pinned, spec, RangeScan(*spec.predicate, queries[i], data_dim),
-            dsnap);
-        total_us = Fulfill(shard, &(*batch)[i], repaired, false,
-                           PlanPrecision::kF64, sc, fulfill_now);
-        served_as = "exact";
-      } else if (modes[i] == 2) {
-        // Non-decomposable aggregate recomputed exactly over base+delta:
-        // counted as a fallback answer (used_sketch=false) plus the
-        // delta_exact sub-counter.
-        shard->answers.TickDelta(/*exact=*/true);
-        sc->answers.TickDelta(/*exact=*/true);
+      if (modes[i] >= 2) {
+        // Exact answers tick fallback_answers (or failed_answers when the
+        // engine is also stumped); a recompute of a non-decomposable
+        // aggregate over base+delta also ticks the delta_exact
+        // sub-counter.
+        if (modes[i] == 2) {
+          shard->answers.TickDelta(/*exact=*/true);
+          sc->answers.TickDelta(/*exact=*/true);
+        }
         total_us = Fulfill(shard, &(*batch)[i], answers[i], false,
                            PlanPrecision::kF64, sc, fulfill_now);
         served_as = "exact";
@@ -650,10 +691,13 @@ void ServeEngine::ExecuteBatch(Shard* shard, const ServeKey& key,
       // compaction.
       if (tracing) delta_start = Clock::now();
       answers.resize(queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        const RangeScan scan(*spec.predicate, queries[i], data_dim);
-        answers[i] = ExactWithDelta(pinned, spec, scan, dsnap);
+      std::vector<RangeScan> scans;
+      scans.reserve(queries.size());
+      for (const QueryInstance& q : queries) {
+        scans.emplace_back(*spec.predicate, q, data_dim);
       }
+      ExactWithDelta(pinned, spec, scans.data(), scans.size(), dsnap,
+                     answers.data());
       if (tracing) {
         delta_end = Clock::now();
         delta_timed = true;

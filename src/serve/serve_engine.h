@@ -97,26 +97,29 @@ struct ServeOptions {
   size_t slow_query_capacity = 32;
 };
 
-/// \brief Feeds `acc` the measure of every delta row in [from, end) that
-/// `scan` matches, in append order — the exact half of streaming
-/// composition. For COUNT/SUM/MIN/MAX the finalized accumulator is the
+/// \brief Feeds accs[q] the measure of every delta row in [from[q], end)
+/// that scans[q] matches, in append order, for q in [0, n) — the exact
+/// half of streaming composition, one batch-major pass per delta span
+/// (ReduceMatches). For COUNT/SUM/MIN/MAX the finalized accumulator is the
 /// scalar correction to a sketch answer.
-void AccumulateDelta(const DeltaBuffer::Snapshot& snap, size_t from,
-                     const RangeScan& scan, size_t measure_col,
-                     AggregateAccumulator* acc);
+void AccumulateDelta(const DeltaBuffer::Snapshot& snap, const size_t* from,
+                     const RangeScan* scans, size_t n, size_t measure_col,
+                     AggregateAccumulator* accs);
 
-/// \brief The streaming exact answer: one accumulation fed the pinned base
-/// table first, then every delta row the base does not already hold, in
-/// append order — bit-identical to a from-scratch scan of the appended
-/// table for every aggregate (including Welford AVG/STD and MEDIAN's
-/// order-sensitive buffer). The delta scan starts at the pinned version's
-/// fold watermark: rows below it were compacted into the base and
-/// counting them from the delta too would double them. The caller must
-/// take the snapshot BEFORE pinning, so snap.begin() <= base.folded
-/// always holds and the pair covers the logical history exactly once.
-double ExactWithDelta(const ExactEngine::PinnedBase& base,
-                      const QueryFunctionSpec& spec, const RangeScan& scan,
-                      const DeltaBuffer::Snapshot& snap);
+/// \brief The streaming exact answers to a batch: out[q] is one
+/// accumulation for scans[q] fed the pinned base table first, then every
+/// delta row the base does not already hold, in append order —
+/// bit-identical to a from-scratch scan of the appended table for every
+/// aggregate (including Welford AVG/STD and MEDIAN's order-sensitive
+/// buffer). The whole batch shares each pass over the base and the delta.
+/// The delta scan starts at the pinned version's fold watermark: rows
+/// below it were compacted into the base and counting them from the delta
+/// too would double them. The caller must take the snapshot BEFORE
+/// pinning, so snap.begin() <= base.folded always holds and the pair
+/// covers the logical history exactly once.
+void ExactWithDelta(const ExactEngine::PinnedBase& base,
+                    const QueryFunctionSpec& spec, const RangeScan* scans,
+                    size_t n, const DeltaBuffer::Snapshot& snap, double* out);
 
 /// \brief One delivered answer.
 struct ServeResult {

@@ -627,8 +627,10 @@ INSTANTIATE_TEST_SUITE_P(Trials, CompactionTrialSweep,
 // AxisRangePredicate::Matches every exact scan uses. They must accept
 // exactly the rows Matches accepts — at the interval edges, on inactive
 // full-range attributes whose data sits at 1.0, for NaN and signed-zero
-// row values and query values — in both row layouts. Other predicate
-// families must still take the virtual path and give identical scans.
+// row values and query values — in both row layouts, one row at a time
+// (the scalar rule) and as a 64-row block (the SIMD match word). Other
+// predicate families must still take the virtual path and give identical
+// scans.
 
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -636,13 +638,13 @@ bool SameBits(double a, double b) {
 
 /// RangeScan's verdict on one row, through both row layouts.
 bool ScanVerdict(const RangeScan& scan, const std::vector<double>& row) {
-  bool row_major = false, columnar = false;
-  scan.ForEachMatch(RowMajorRows{row.data(), row.size()}, 1,
-                    [&](const size_t*, size_t m) { row_major = m == 1; });
+  size_t idx[1];
+  const bool row_major =
+      scan.Select(RowMajorRows{row.data(), row.size()}, 0, 1, idx) == 1;
   std::vector<const double*> cols(row.size());
   for (size_t c = 0; c < row.size(); ++c) cols[c] = &row[c];
-  scan.ForEachMatch(ColumnRows{cols.data(), cols.size()}, 1,
-                    [&](const size_t*, size_t m) { columnar = m == 1; });
+  const bool columnar =
+      scan.Select(ColumnRows{cols.data(), cols.size()}, 0, 1, idx) == 1;
   EXPECT_EQ(row_major, columnar);
   return row_major;
 }
@@ -683,6 +685,10 @@ TEST_P(CompiledBoundsSweep, AcceptExactlyTheRowsMatchesAccepts) {
       // hi is the very double Matches computes per row.
       EXPECT_TRUE(SameBits(b.hi, q[b.col] + q[dim + b.col]));
     }
+    // The trial's rows, repeated into one 64-row block below so the
+    // block-wide match word sees them too.
+    std::vector<std::vector<double>> trial_rows;
+    std::vector<bool> trial_wants;
     for (int r = 0; r < 40; ++r) {
       std::vector<double> row(dim);
       for (size_t c = 0; c < dim; ++c) {
@@ -702,7 +708,32 @@ TEST_P(CompiledBoundsSweep, AcceptExactlyTheRowsMatchesAccepts) {
       EXPECT_EQ(ScanVerdict(scan, row), want)
           << "trial " << trial << " row " << r;
       (want ? hits : misses) += 1;
+      trial_rows.push_back(row);
+      trial_wants.push_back(want);
     }
+    constexpr size_t kBlock = 64;
+    std::vector<double> row_major;
+    std::vector<std::vector<double>> columns(dim);
+    std::vector<size_t> want_idx;
+    for (size_t i = 0; i < kBlock; ++i) {
+      const size_t r = i % trial_rows.size();
+      for (size_t c = 0; c < dim; ++c) {
+        row_major.push_back(trial_rows[r][c]);
+        columns[c].push_back(trial_rows[r][c]);
+      }
+      if (trial_wants[r]) want_idx.push_back(i);
+    }
+    std::vector<const double*> cols(dim);
+    for (size_t c = 0; c < dim; ++c) cols[c] = columns[c].data();
+    size_t idx[kBlock];
+    const size_t m_col =
+        scan.Select(ColumnRows{cols.data(), dim}, 0, kBlock, idx);
+    EXPECT_EQ(std::vector<size_t>(idx, idx + m_col), want_idx)
+        << "trial " << trial;
+    const size_t m_row =
+        scan.Select(RowMajorRows{row_major.data(), dim}, 0, kBlock, idx);
+    EXPECT_EQ(std::vector<size_t>(idx, idx + m_row), want_idx)
+        << "trial " << trial;
   }
   // Both verdicts must be exercised, or the sweep proves nothing.
   EXPECT_GT(hits, 0u);
@@ -753,20 +784,26 @@ TEST(CompiledBoundsTest, EdgeValuesMatchTheVirtualPredicate) {
 }
 
 /// A small table with NaN, signed zeros and exact interval edges mixed
-/// into uniform data. With `nan_measure` false the measure column "m"
-/// draws -0.0 where it would draw NaN, so AVG/STD/SUM/MIN/MAX over a
-/// range stay finite and their arithmetic is compared bit for bit rather
-/// than collapsing to NaN.
+/// into uniform data; the predicate columns "x" and "y" also draw +-inf.
+/// The measure column "m" never does: inf - inf is the default NaN, whose
+/// sign then depends on which operand of a commutative add the compiler
+/// puts first, so no scan path can promise its bits. With `nan_measure`
+/// false "m" draws -0.0 where it would draw NaN, so AVG/STD/SUM/MIN/MAX
+/// over a range stay finite and their arithmetic is compared bit for bit
+/// rather than collapsing to NaN.
 Table EdgeValueTable(size_t rows, uint64_t seed, bool nan_measure = true) {
   Schema schema;
   schema.columns = {"x", "y", "m"};
   Table t(schema);
   Rng rng(seed);
-  const double specials[] = {std::nan(""), 0.0, -0.0, 0.25, 0.75, 1.0};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::nan(""), 0.0, -0.0, 0.25, 0.75, 1.0,
+                             inf, -inf};
   for (size_t i = 0; i < rows; ++i) {
     std::vector<double> row(3);
-    for (double& v : row) {
-      v = rng.Index(5) == 0 ? specials[rng.Index(6)] : rng.Uniform();
+    for (size_t c = 0; c < row.size(); ++c) {
+      const size_t kinds = c < 2 ? 8 : 6;  // no +-inf in the measure
+      row[c] = rng.Index(5) == 0 ? specials[rng.Index(kinds)] : rng.Uniform();
     }
     if (!nan_measure && std::isnan(row[2])) row[2] = -0.0;
     EXPECT_TRUE(t.AppendRow(row).ok());
@@ -810,41 +847,59 @@ double ReferenceAggregate(Aggregate agg, const std::vector<double>& values) {
   return nan;
 }
 
-/// The per-row virtual Matches loop every scan is compared against.
-double ReferenceAnswer(const Table& t, const QueryFunctionSpec& spec,
-                       const QueryInstance& q, size_t* matched) {
+/// The measures of rows [from, end) of `t` that the per-row virtual
+/// Matches accepts, in row order.
+std::vector<double> ReferenceValues(const Table& t,
+                                    const QueryFunctionSpec& spec,
+                                    const QueryInstance& q, size_t from = 0) {
   std::vector<double> values;
-  for (size_t i = 0; i < t.num_rows(); ++i) {
+  for (size_t i = from; i < t.num_rows(); ++i) {
     const std::vector<double> row = t.Row(i);
     if (!spec.predicate->Matches(q, row.data(), row.size())) continue;
     values.push_back(row[spec.measure_col]);
   }
+  return values;
+}
+
+/// The per-row virtual Matches loop every scan is compared against.
+double ReferenceAnswer(const Table& t, const QueryFunctionSpec& spec,
+                       const QueryInstance& q, size_t* matched) {
+  const std::vector<double> values = ReferenceValues(t, spec, q);
   *matched = values.size();
   return ReferenceAggregate(spec.agg, values);
 }
 
-/// One predicate family with a few queries over 3-column rows.
+/// One predicate family with a few queries over 3-column rows, plus a
+/// sparse one that matches no row of an EdgeValueTable but, for axis
+/// ranges, the rows whose attribute is NaN.
 struct PredicateFamily {
   std::shared_ptr<const PredicateFunction> pred;
   std::vector<QueryInstance> queries;
   bool compiled;
+  QueryInstance sparse;
 };
 
 /// All three families: axis ranges (compiled bounds, including an
-/// all-inactive query) and two that keep the virtual Matches.
+/// all-inactive query, and bounds sitting exactly on the table's special
+/// values 0.25, 0.75 and +-0) and two that keep the virtual Matches.
 std::vector<PredicateFamily> PredicateFamilies() {
+  const double inf = std::numeric_limits<double>::infinity();
   return {
       {AxisRangePredicate::Make(),
        {QueryInstance({0.25, 0.0, 0.0, 0.5, 1.0, 1.0}),
         QueryInstance({0.1, 0.2, 0.0, 0.4, 0.5, 1.0}),
-        QueryInstance({0.0, 0.0, 0.0, 1.0, 1.0, 1.0})},
-       true},
+        QueryInstance({0.0, 0.0, 0.0, 1.0, 1.0, 1.0}),
+        QueryInstance({0.0, 0.25, 0.0, 0.25, 0.5, 1.0})},
+       true,
+       QueryInstance({0.3, 0.0, 0.0, 1e-12, 1.0, 1.0})},
       {CircularPredicate::Make(2),
        {QueryInstance({0.5, 0.5, 0.3}), QueryInstance({0.25, 0.75, 0.5})},
-       false},
+       false,
+       QueryInstance({5.0, 5.0, 0.1})},
       {HalfSpacePredicate::Make(),
        {QueryInstance({0.5, 0.2}), QueryInstance({-1.0, 0.9})},
-       false},
+       false,
+       QueryInstance({0.0, inf})},
   };
 }
 
@@ -877,13 +932,18 @@ TEST(CompiledBoundsTest, EveryPredicateFamilyScansBitIdentically) {
 }
 
 // ---------------------------------------------------------------------
-// Select-then-reduce scans (RangeScan::ForEachMatch feeding
-// AggregateAccumulator::AddSelected) must give the per-row reference
-// loop's exact bits through every exact-scan entry point: the base scan,
-// the match count, the serve path's delta correction and its base+delta
-// recompute. Table sizes straddle the 1024-row selection block; delta
-// chunks are smaller than a block (7 rows) or equal to it, and the
-// unfolded delta starts mid-chunk.
+// Select-then-reduce scans (RangeScan::Select feeding
+// AggregateAccumulator::AddSelected, and the batch-major ReduceMatches
+// feeding AddSelectedLockstep) must give the per-row reference loop's
+// exact bits through every exact-scan entry point: the base scan, the
+// match count, the serve path's delta correction and its base+delta
+// recompute, one query at a time and in batches. Table sizes straddle
+// the 64-row match word and the 1024-row selection block, so one build
+// runs both the SIMD word and the scalar tail; delta chunks are smaller
+// than a block (7 rows) or equal to it, and the unfolded delta starts
+// mid-chunk. Batches mix every family query with sparse ones, which
+// select nothing from most blocks, and give each query its own delta
+// watermark.
 
 /// Rows [lo, hi) of `t` as a table of their own.
 Table Slice(const Table& t, size_t lo, size_t hi) {
@@ -893,55 +953,87 @@ Table Slice(const Table& t, size_t lo, size_t hi) {
 }
 
 class SelectThenReduceSweep
-    : public testing::TestWithParam<std::tuple<size_t, size_t, bool>> {};
+    : public testing::TestWithParam<std::tuple<size_t, size_t, bool, size_t>> {
+};
 
 TEST_P(SelectThenReduceSweep, EveryScanEntryPointMatchesTheReferenceLoop) {
-  const auto [rows, chunk_rows, nan_measure] = GetParam();
+  const auto [rows, chunk_rows, nan_measure, batch] = GetParam();
   const Table full = EdgeValueTable(rows, 72 + rows, nan_measure);
   const ExactEngine full_engine(&full);
   // The logical table is base rows [0, split) then delta rows
   // [split, rows). The delta buffer also holds the `folded` rows just
   // below split, which the base already reflects, so the unfolded delta
-  // starts mid-chunk.
+  // starts mid-chunk. Delta logical row L is table row first + L.
   const size_t split = rows / 2;
   const size_t folded = std::min<size_t>(3, split);
+  const size_t first = split - folded;
   const Table base = Slice(full, 0, split);
-  const Table delta_rows = Slice(full, split, rows);
   serve::DeltaBuffer delta(full.num_columns(), chunk_rows);
-  for (size_t i = split - folded; i < rows; ++i) delta.Append(full.Row(i));
+  for (size_t i = first; i < rows; ++i) delta.Append(full.Row(i));
   const serve::DeltaBuffer::Snapshot snap = delta.Snap();
   ExactEngine::PinnedBase pinned;
   pinned.table = &base;
   pinned.folded = folded;
 
   for (const auto& fam : PredicateFamilies()) {
+    // Every third query of the batch is the sparse one; query k's delta
+    // watermark steps through [folded, delta end].
+    std::vector<QueryInstance> queries;
+    std::vector<size_t> from;
+    for (size_t k = 0; k < batch; ++k) {
+      queries.push_back(k % 3 == 2 ? fam.sparse
+                                   : fam.queries[k % fam.queries.size()]);
+      from.push_back(folded + (k * 37) % (rows - split + 1));
+    }
+    std::vector<RangeScan> scans;
+    for (const auto& q : queries) {
+      scans.emplace_back(*fam.pred, q, full.num_columns());
+    }
     for (Aggregate agg : kAllAggregates) {
       QueryFunctionSpec spec;
       spec.predicate = fam.pred;
       spec.agg = agg;
       spec.measure_col = 2;
-      for (const auto& q : fam.queries) {
-        SCOPED_TRACE(fam.pred->name() + " " + AggregateName(agg));
-        const RangeScan scan(*fam.pred, q, full.num_columns());
-        size_t matched = 0;
-        const double want = ReferenceAnswer(full, spec, q, &matched);
-
-        AggregateAccumulator acc(agg);
-        ExactEngine::AccumulateOver(full, scan, spec.measure_col, &acc);
-        EXPECT_TRUE(SameBits(acc.Finalize(), want));
-        EXPECT_EQ(acc.count(), matched);
-        EXPECT_EQ(full_engine.CountMatches(spec, q), matched);
-
-        size_t delta_matched = 0;
-        const double delta_want =
-            ReferenceAnswer(delta_rows, spec, q, &delta_matched);
-        AggregateAccumulator d(agg);
-        serve::AccumulateDelta(snap, folded, scan, spec.measure_col, &d);
-        EXPECT_TRUE(SameBits(d.Finalize(), delta_want));
-        EXPECT_EQ(d.count(), delta_matched);
-
-        EXPECT_TRUE(
-            SameBits(serve::ExactWithDelta(pinned, spec, scan, snap), want));
+      SCOPED_TRACE(fam.pred->name() + " " + AggregateName(agg));
+      std::vector<AggregateAccumulator> accs(batch, AggregateAccumulator(agg));
+      std::vector<AggregateAccumulator> deltas = accs;
+      std::vector<double> exact(batch);
+      ExactEngine::AccumulateOver(full, scans.data(), batch, spec.measure_col,
+                                  accs.data());
+      serve::AccumulateDelta(snap, from.data(), scans.data(), batch,
+                             spec.measure_col, deltas.data());
+      serve::ExactWithDelta(pinned, spec, scans.data(), batch, snap,
+                            exact.data());
+      const std::vector<double> answers =
+          full_engine.AnswerBatch(spec, queries, 3);
+      for (size_t k = 0; k < batch; ++k) {
+        SCOPED_TRACE("query " + std::to_string(k) + " of " +
+                     std::to_string(batch));
+        const QueryInstance& q = queries[k];
+        const std::vector<double> values = ReferenceValues(full, spec, q);
+        const double want = ReferenceAggregate(agg, values);
+        // An axis range accepts every NaN row, so its sparse query keeps
+        // those; the other families' match nothing.
+        if (k % 3 == 2 && !fam.compiled) {
+          EXPECT_TRUE(values.empty());
+        }
+        EXPECT_TRUE(SameBits(accs[k].Finalize(), want));
+        EXPECT_EQ(accs[k].count(), values.size());
+        EXPECT_TRUE(SameBits(exact[k], want));
+        EXPECT_TRUE(SameBits(answers[k], want));
+        const std::vector<double> delta_values =
+            ReferenceValues(full, spec, q, first + from[k]);
+        EXPECT_TRUE(SameBits(deltas[k].Finalize(),
+                             ReferenceAggregate(agg, delta_values)));
+        EXPECT_EQ(deltas[k].count(), delta_values.size());
+        if (batch == 1) {
+          // The single-query forms are the same calls with n = 1.
+          AggregateAccumulator one(agg);
+          ExactEngine::AccumulateOver(full, spec, q, &one);
+          EXPECT_TRUE(SameBits(one.Finalize(), want));
+          EXPECT_TRUE(SameBits(full_engine.Answer(spec, q), want));
+          EXPECT_EQ(full_engine.CountMatches(spec, q), values.size());
+        }
       }
     }
   }
@@ -949,8 +1041,10 @@ TEST_P(SelectThenReduceSweep, EveryScanEntryPointMatchesTheReferenceLoop) {
 
 INSTANTIATE_TEST_SUITE_P(
     BlockEdges, SelectThenReduceSweep,
-    testing::Combine(testing::Values<size_t>(0, 1, 1023, 1024, 1025, 3000),
-                     testing::Values<size_t>(7, 1024), testing::Bool()));
+    testing::Combine(testing::Values<size_t>(0, 1, 63, 64, 65, 1023, 1024,
+                                             1025, 3000),
+                     testing::Values<size_t>(7, 1024), testing::Bool(),
+                     testing::Values<size_t>(1, 2, 3, 16, 17)));
 
 // Per-value Add, one bulk AddSelected, and selections of growing size fed
 // one after another (so MIN/MAX continue from a seeded accumulator) all

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -31,6 +32,7 @@
 #include "data/normalizer.h"
 #include "query/engine.h"
 #include "query/predicate.h"
+#include "query/range_scan.h"
 #include "query/workload.h"
 #include "data/streaming_table.h"
 #include "data/table.h"
@@ -922,6 +924,75 @@ TEST(RefreshTest, RefreshRetrainsOnlyFlaggedLeafAndSwapsAtomically) {
   EXPECT_EQ(stats.swaps, 1u);
   EXPECT_EQ(stats.retrained_leaves, 1u);
   EXPECT_EQ(stats.failures, 0u);
+}
+
+// The refresh probe answers over the pinned base plus the unfolded delta
+// without copying either into a merged table. Its ground truth and its
+// train labels must equal the merged-table AnswerBatch they replace, bit
+// for bit: directly through ExactWithDelta for every aggregate, and end to
+// end through a threaded refresh pass, where the truth shows in pre_mae
+// and the labels in the retrained sketch's bytes.
+TEST(RefreshTest, ProbeTruthAndTrainLabelsMatchTheMergedTable) {
+  const DriftScenario* s = &DriftScenario::Shared();
+  ASSERT_FALSE(s->drift_rows.empty());
+  SketchStore store;
+  ASSERT_TRUE(store.RegisterDataset("gmm", s->engine.get()).ok());
+  ASSERT_TRUE(store.Register("gmm", s->spec, s->sketch).ok());
+  ASSERT_TRUE(store.EnableStreaming("gmm", s->base.num_columns()).ok());
+  ASSERT_TRUE(store.AppendRows("gmm", s->drift_rows).ok());
+  Table merged = s->base;
+  for (const auto& r : s->drift_rows) ASSERT_TRUE(merged.AppendRow(r).ok());
+  const ExactEngine merged_engine(&merged);
+  const RefreshTarget target = s->Target();
+
+  const DeltaBuffer::Snapshot snap = store.Delta("gmm")->Snap();
+  const ExactEngine::PinnedBase pinned = s->engine->Pin();
+  for (Aggregate agg :
+       {Aggregate::kCount, Aggregate::kSum, Aggregate::kAvg, Aggregate::kStd,
+        Aggregate::kMedian, Aggregate::kMin, Aggregate::kMax}) {
+    const QueryFunctionSpec spec = AxisSpec(agg, s->spec.measure_col);
+    for (const auto* queries : {&s->probes, &target.train_queries}) {
+      std::vector<RangeScan> scans;
+      for (const auto& q : *queries) {
+        scans.emplace_back(*spec.predicate, q, s->base.num_columns());
+      }
+      std::vector<double> got(queries->size());
+      serve::ExactWithDelta(pinned, spec, scans.data(), scans.size(), snap,
+                            got.data());
+      const std::vector<double> want = merged_engine.AnswerBatch(spec, *queries);
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(SameBits(got[i], want[i]))
+            << AggregateName(agg) << " query " << i;
+      }
+    }
+  }
+
+  RefreshOptions ro;
+  ro.probe_threads = 3;
+  RefreshController ctrl(&store, nullptr, ro);
+  ctrl.AddTarget(target);
+  auto res = ctrl.RefreshNow("gmm", s->spec);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  const RefreshOutcome out = res.value();
+  ASSERT_TRUE(out.swapped) << out.message;
+  const std::vector<double> truth =
+      merged_engine.AnswerBatch(s->spec, s->probes);
+  EXPECT_TRUE(SameBits(
+      out.pre_mae,
+      target.monitor.CheckAgainst(*s->sketch, truth).normalized_mae));
+  NeuroSketch fresh = CloneSketch(*s->sketch);
+  ASSERT_TRUE(fresh
+                  .RetrainLeaves(out.stale_leaves, target.train_queries,
+                                 merged_engine.AnswerBatch(
+                                     s->spec, target.train_queries),
+                                 target.config)
+                  .ok());
+  std::stringstream want_bytes, got_bytes;
+  ASSERT_TRUE(fresh.SaveTo(&want_bytes).ok());
+  ASSERT_TRUE(store.Lookup(ServeKey::From("gmm", s->spec))
+                  ->SaveTo(&got_bytes)
+                  .ok());
+  EXPECT_TRUE(want_bytes.str() == got_bytes.str());
 }
 
 // ---------------------------------------------------------------------
